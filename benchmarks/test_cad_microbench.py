@@ -1,15 +1,17 @@
-"""CAD-kernel microbenchmarks: scalar vs vectorized place/route engines.
+"""CAD-kernel microbenchmarks: the numpy place/route kernels vs the
+reference implementations in ``tests.cad.reference``.
 
-The numpy engines (``engine="vector"``) replace the per-terminal python
-loops in the SA placer's move evaluation and the router's per-node cost
-function with array kernels — same RNG stream, same accepted moves, same
-routed trees, bit-identical results.  These microbenchmarks isolate each
+The production kernels replace the per-terminal python loops in the SA
+placer's move evaluation and the router's per-node cost function with
+array kernels — same RNG stream, same accepted moves, same routed
+trees, bit-identical results.  These microbenchmarks isolate each
 kernel (the full-flow wins are E13d's job) and pin the contract the
 speedup rides on: *identical output first, faster second*.
 
 Mirrors ``test_delta_microbench.py``: simulated-result equality asserted
 exactly, wall-clock compared with generous CI margins, one table per
-quantity emitted into the artifact stream.
+quantity emitted into the artifact stream.  Run from the repository
+root (``python -m pytest benchmarks/...``) so ``tests`` is importable.
 """
 
 import time
@@ -17,139 +19,176 @@ import time
 from _harness import emit
 
 from repro.analysis import format_table
-from repro.cad import (
-    NetSpec,
-    Router,
-    RoutingGraph,
-    compile_netlist,
-    nets_of,
-    pack,
-    place,
-    technology_map,
-)
-from repro.cad.flow import _virtual_pin_pool, minimal_region
+from repro.cad import Router, compile_netlist, pack, place, technology_map
+from repro.cad.flow import minimal_region
 from repro.device import get_family
-from repro.netlist import moving_sum_fir
+from repro.netlist import (
+    accumulator,
+    comparator,
+    counter,
+    lfsr,
+    moving_sum_fir,
+    parity_tree,
+    ripple_adder,
+)
+from tests.cad.reference import ReferenceRouter, flow_route_inputs, reference_place
 
 ARCH = get_family("VF16")
 N_ROUNDS = 3  # best-of-N: results are deterministic, only timing jitters
+
+#: The six circuits the ``sim-reconfig`` workload of benchmarks/perf
+#: compiles in set-up (3–12 BLEs), smallest first.
+SMALL_DESIGNS = [
+    ("parity_tree:8", lambda: parity_tree(8)),
+    ("counter:4", lambda: counter(4)),
+    ("lfsr:8", lambda: lfsr(8)),
+    ("comparator:4", lambda: comparator(4)),
+    ("ripple_adder:4", lambda: ripple_adder(4)),
+    ("accumulator:4", lambda: accumulator(4)),
+]
+#: Small designs place in milliseconds, so they take more rounds.
+N_SMALL_ROUNDS = 7
+
+
+def packed(netlist):
+    return pack(technology_map(netlist, ARCH.k), ARCH.k)
 
 
 def packed_fir():
     """The E13d target design: placement-bound (169 BLEs, a 49-terminal
     net) — large enough that kernel time dominates setup."""
-    mapped = technology_map(moving_sum_fir(8, 4), ARCH.k)
-    return pack(mapped, ARCH.k)
+    return packed(moving_sum_fir(8, 4))
 
 
-def test_sa_kernel_scalar_vs_vector(benchmark):
-    design = packed_fir()
+def auto_region(design):
     io_count = len(design.inputs) + len(design.outputs)
-    region = minimal_region(design.n_clbs, io_count, ARCH)
+    return minimal_region(design.n_clbs, io_count, ARCH)
 
-    def run_engines():
-        out = {}
-        for engine in ("scalar", "vector"):
-            best, coords = None, None
-            for _ in range(N_ROUNDS):
-                t0 = time.perf_counter()
-                p = place(design, region, seed=3, effort="sa",
-                          engine=engine)
-                dt = time.perf_counter() - t0
-                best = dt if best is None else min(best, dt)
-                coords = p.coords
-            out[engine] = (best, coords)
-        return out
 
-    out = benchmark.pedantic(run_engines, rounds=1, iterations=1)
-    (s, s_coords), (v, v_coords) = out["scalar"], out["vector"]
-    # Bit-exact: the engine may only change how fast moves are scored,
+def best_place(run, design, region, rounds):
+    """(best wall seconds, coords) of ``rounds`` placements at seed 3."""
+    best, coords = None, None
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        p = run(design, region, seed=3)
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+        coords = p.coords
+    return best, coords
+
+
+def test_sa_kernel_vs_reference(benchmark):
+    design = packed_fir()
+    region = auto_region(design)
+
+    def run_kernels():
+        return {name: best_place(run, design, region, N_ROUNDS)
+                for name, run in (("reference", reference_place),
+                                  ("production", place))}
+
+    out = benchmark.pedantic(run_kernels, rounds=1, iterations=1)
+    (r, r_coords), (p, p_coords) = out["reference"], out["production"]
+    # Bit-exact: the kernel may only change how fast moves are scored,
     # never which moves are accepted or where BLEs land.
-    assert v_coords == s_coords
-    # The vectorized kernel must win outright on a placement-bound
-    # design (measured ~2x; strict inequality leaves CI headroom).
-    assert v < s, f"vector SA kernel slower: {v * 1e3:.1f}ms vs {s * 1e3:.1f}ms"
+    assert p_coords == r_coords
+    # The numpy kernel must win outright on a placement-bound design
+    # (measured ~2x; strict inequality leaves CI headroom).
+    assert p < r, f"SA kernel slower than the reference: " \
+                  f"{p * 1e3:.1f}ms vs {r * 1e3:.1f}ms"
 
     emit("cad_microbench_sa", format_table(
-        [{"engine": e, "place_ms": round(t * 1e3, 2),
-          "vs_scalar": f"{t / s:.2f}x"}
-         for e, (t, _) in out.items()],
+        [{"kernel": k, "place_ms": round(t * 1e3, 2),
+          "vs_reference": f"{t / r:.2f}x"}
+         for k, (t, _) in out.items()],
         title=f"SA placement kernel: {design.n_clbs} BLEs on "
               f"{ARCH.name} {region.w}x{region.h} (identical coords)",
     ))
 
 
-def route_inputs():
-    """Routing inputs built exactly as the flow builds them (relocatable
-    mode), so the microbench routes the real net list of the design."""
+def test_sa_kernel_small_designs(benchmark):
+    """Below the size where numpy obviously pays: the ``sim-reconfig``
+    circuits, each in its auto-sized region.  The kernel may lose a
+    fraction of a millisecond on the tiniest design, but the summed
+    placement time must be lower than the reference's."""
+
+    def run_kernels():
+        rows = []
+        for spec, factory in SMALL_DESIGNS:
+            design = packed(factory())
+            region = auto_region(design)
+            r, r_coords = best_place(reference_place, design, region,
+                                     N_SMALL_ROUNDS)
+            p, p_coords = best_place(place, design, region, N_SMALL_ROUNDS)
+            assert p_coords == r_coords, spec
+            rows.append({"design": spec, "bles": len(design.bles),
+                         "reference_ms": r * 1e3, "production_ms": p * 1e3})
+        return rows
+
+    rows = benchmark.pedantic(run_kernels, rounds=1, iterations=1)
+    ref_total = sum(row["reference_ms"] for row in rows)
+    prod_total = sum(row["production_ms"] for row in rows)
+    assert prod_total < ref_total, \
+        f"SA kernel slower than the reference on the small designs: " \
+        f"{prod_total:.1f}ms vs {ref_total:.1f}ms"
+
+    table = [{"design": row["design"], "bles": row["bles"],
+              "reference_ms": round(row["reference_ms"], 2),
+              "production_ms": round(row["production_ms"], 2),
+              "vs_reference": f"{row['production_ms'] / row['reference_ms']:.2f}x"}
+             for row in rows]
+    table.append({"design": "total", "bles": sum(r["bles"] for r in rows),
+                  "reference_ms": round(ref_total, 2),
+                  "production_ms": round(prod_total, 2),
+                  "vs_reference": f"{prod_total / ref_total:.2f}x"})
+    emit("cad_microbench_sa_small", format_table(
+        table,
+        title=f"SA placement kernel on small designs: {ARCH.name}, "
+              f"auto-sized regions, best of {N_SMALL_ROUNDS} "
+              f"(identical coords)",
+    ))
+
+
+def test_route_kernel_vs_reference(benchmark):
     design = packed_fir()
-    io_count = len(design.inputs) + len(design.outputs)
-    region = minimal_region(design.n_clbs, io_count, ARCH)
-    placement = place(design, region, seed=3, effort="sa")
-    pool = _virtual_pin_pool(ARCH, region)
-    virtual_inputs = {p: pool[i] for i, p in enumerate(design.inputs)}
-    virtual_outputs = {
-        p: pool[len(pool) - 1 - j]
-        for j, p in enumerate(sorted(design.outputs))
-    }
-    ble_names = {b.name for b in design.bles}
-    specs = {}
-    for src, sinks in nets_of(design).items():
-        source = (("clb", placement.coords[src]) if src in ble_names
-                  else ("wire", virtual_inputs[src]))
-        specs[src] = NetSpec(name=src, source=source, sinks=[
-            ("clbpin", placement.coords[b], pin) for b, pin in sinks
-        ])
-    for port, src in design.outputs.items():
-        if src not in specs:
-            specs[src] = NetSpec(
-                name=src, source=("clb", placement.coords[src]), sinks=[]
-            )
-        specs[src].sinks.append(("wire", virtual_outputs[port]))
-    graph = RoutingGraph(ARCH, region=region)
-    reserved = {graph.wire_id(w): p for p, w in virtual_inputs.items()}
-    for port, w in virtual_outputs.items():
-        reserved[graph.wire_id(w)] = design.outputs[port]
-    return graph, reserved, [specs[n] for n in sorted(specs)]
+    inputs = flow_route_inputs(
+        place(design, auto_region(design), seed=3, effort="sa"), ARCH
+    )
 
-
-def test_route_kernel_scalar_vs_vector(benchmark):
-    graph, reserved, net_list = route_inputs()
-
-    def run_engines():
+    def run_kernels():
         out = {}
-        for engine in ("scalar", "vector"):
+        for name, cls in (("reference", ReferenceRouter),
+                          ("production", Router)):
             best, routed = None, None
             for _ in range(N_ROUNDS):
-                router = Router(graph, reserved=dict(reserved),
-                                engine=engine)
+                router = cls(inputs.graph, reserved=dict(inputs.reserved))
                 t0 = time.perf_counter()
-                routed = router.route(net_list)
+                routed = router.route(inputs.nets)
                 dt = time.perf_counter() - t0
                 best = dt if best is None else min(best, dt)
-            out[engine] = (best, routed)
+            out[name] = (best, routed)
         return out
 
-    out = benchmark.pedantic(run_engines, rounds=1, iterations=1)
-    (s, s_routed), (v, v_routed) = out["scalar"], out["vector"]
+    out = benchmark.pedantic(run_kernels, rounds=1, iterations=1)
+    (r, r_routed), (p, p_routed) = out["reference"], out["production"]
     # Node-for-node identical trees: the cost vector is exact, not an
-    # approximation of the scalar cost function.
-    assert set(s_routed) == set(v_routed)
-    for name in s_routed:
-        assert v_routed[name].nodes == s_routed[name].nodes, name
-        assert v_routed[name].switches == s_routed[name].switches, name
-        assert v_routed[name].sink_taps == s_routed[name].sink_taps, name
-    # Generous bound — the vector path wins, but by less than the SA
+    # approximation of the per-visit cost function.
+    assert set(r_routed) == set(p_routed)
+    for name in r_routed:
+        assert p_routed[name].nodes == r_routed[name].nodes, name
+        assert p_routed[name].switches == r_routed[name].switches, name
+        assert p_routed[name].sink_taps == r_routed[name].sink_taps, name
+    # Generous bound — the cost vector wins, but by less than the SA
     # kernel (Dijkstra itself is untouched), so gate only disasters.
-    assert v < s * 1.5, f"vector route kernel slower: {v * 1e3:.1f}ms " \
-                        f"vs {s * 1e3:.1f}ms"
+    assert p < r * 1.5, f"route kernel slower than the reference: " \
+                        f"{p * 1e3:.1f}ms vs {r * 1e3:.1f}ms"
 
     emit("cad_microbench_route", format_table(
-        [{"engine": e, "route_ms": round(t * 1e3, 2),
-          "vs_scalar": f"{t / s:.2f}x"}
-         for e, (t, _) in out.items()],
-        title=f"PathFinder cost kernel: {len(net_list)} nets, "
-              f"{len(graph)} RRG nodes on {ARCH.name} (identical trees)",
+        [{"kernel": k, "route_ms": round(t * 1e3, 2),
+          "vs_reference": f"{t / r:.2f}x"}
+         for k, (t, _) in out.items()],
+        title=f"PathFinder cost kernel: {len(inputs.nets)} nets, "
+              f"{len(inputs.graph)} RRG nodes on {ARCH.name} "
+              f"(identical trees)",
     ))
 
 

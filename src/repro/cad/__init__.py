@@ -25,7 +25,7 @@ from .instrument import (
     CompileProfile,
 )
 from .pack import Ble, PackedDesign, PackError, nets_of, pack
-from .place import VECTOR_MIN_BLES, Placement, PlacementError, hpwl, place
+from .place import Placement, PlacementError, hpwl, place
 from .route import NetSpec, RoutedNet, Router, RoutingError
 from .rrg import RoutingGraph
 from .techmap import TechmapError, absorb_fanin, check_mapped, gate_truth, technology_map
@@ -34,7 +34,6 @@ from .verify import VerificationError, verify_bitstream
 
 __all__ = [
     "PHASES",
-    "VECTOR_MIN_BLES",
     "Ble",
     "CadAnnealStep",
     "CadCacheLookup",

@@ -28,10 +28,6 @@ instrumented, so :class:`~repro.cad.instrument.CompileProfile`,
 ``repro compile-report`` and the benchmark artifacts all see cache
 behavior.  Cached values are shared between hits — callers must treat
 them as read-only (the BitstreamCache contract).
-
-The engine knob (scalar vs vector kernels) is deliberately *not* part
-of any key: the kernels are pinned bit-identical, so their results are
-interchangeable cache content.
 """
 
 from __future__ import annotations
@@ -116,8 +112,7 @@ class CompileCache:
         max_route_iterations: int,
     ) -> CacheKey:
         """End-to-end key: everything :func:`compile_netlist` result
-        content depends on (the engine knob excluded — see module
-        docstring)."""
+        content depends on."""
         return (digest, arch.name, mode, region_token, seed, effort,
                 max_route_iterations)
 

@@ -182,7 +182,6 @@ def compile_netlist(
     max_route_iterations: int = 24,
     shape: str = "square",
     instrument: Optional[CadInstrumentation] = None,
-    engine: str = "auto",
     cache: Optional[CompileCache] = None,
 ) -> CompileResult:
     """Compile ``netlist`` for ``arch``.
@@ -195,13 +194,10 @@ def compile_netlist(
     Auto-region retries accumulate into the same instrument, so the
     profile records the *whole* compile including discarded attempts.
 
-    ``engine`` selects the placement/routing kernels (``"auto"``,
-    ``"scalar"``, ``"vector"``); the kernels are bit-identical, so the
-    result does not depend on it.  ``cache`` (a
-    :class:`~repro.cad.cache.CompileCache`) memoises the flow end-to-end
-    by netlist content digest plus per-stage (pack on digest alone,
-    place/route keyed downstream); hits return without re-running the
-    skipped phases, and every lookup is published as a
+    ``cache`` (a :class:`~repro.cad.cache.CompileCache`) memoises the
+    flow end-to-end by netlist content digest plus per-stage (pack on
+    digest alone, place/route keyed downstream); hits return without
+    re-running the skipped phases, and every lookup is published as a
     :class:`~repro.cad.instrument.CadCacheLookup` event when
     instrumented.  Cached results are shared — callers must treat them
     as read-only, exactly like the frame images the
@@ -246,8 +242,7 @@ def compile_netlist(
                 result = compile_netlist(
                     netlist, arch, region=auto, mode=mode, seed=seed,
                     effort=effort, max_route_iterations=max_route_iterations,
-                    shape=shape, instrument=instrument, engine=engine,
-                    cache=cache,
+                    shape=shape, instrument=instrument, cache=cache,
                 )
                 if cache is not None and flow_key is not None:
                     cache.store_result(flow_key, result, arch)
@@ -317,7 +312,7 @@ def compile_netlist(
     if placement is None:
         with _phase(instrument, "place", size=design.n_clbs) as ph:
             placement = place(design, region, seed=seed, effort=effort,
-                              instrument=instrument, engine=engine)
+                              instrument=instrument)
             ph.size = design.n_clbs
         if cache is not None:
             cache.store_stage("place", place_key, placement)
@@ -396,7 +391,7 @@ def compile_netlist(
         for port, wire in virtual_outputs.items():
             reserved[graph.wire_id(wire)] = design.outputs[port]
         router = Router(graph, max_iterations=max_route_iterations,
-                        reserved=reserved, engine=engine)
+                        reserved=reserved)
         net_list = [specs[name] for name in sorted(specs)]
         with _phase(instrument, "route", size=len(net_list)) as ph:
             routed = router.route(net_list, instrument=instrument)

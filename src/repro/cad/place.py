@@ -8,22 +8,14 @@ Two effort levels:
   half-perimeter wirelength (HPWL), with swap/relocate moves.  This is the
   default and what experiment E13 ablates against ``greedy``.
 
-Two annealing engines behind one RNG contract:
-
-* ``scalar`` — the reference implementation: per-net python ``max``/``min``
-  sums, exactly as the annealer has always priced moves;
-* ``vector`` — numpy array state: BLE→site coordinates live in one int
-  array, nets are flattened terminal-index slices, and a move's affected
-  nets are re-priced with two ``reduceat`` reductions over a precomputed
-  per-BLE (or per-pair) slice table.
-
-HPWL is integer-valued, so both engines compute *exactly* the same deltas,
-consume the RNG stream identically (``random()`` is drawn only when
-``delta > 0``) and therefore accept exactly the same moves — pinned
-bit-identical by tests/cad/test_place_parity.py, the same discipline the
-FrameCodec vs. reference codec equality tests use.  ``engine="auto"``
-(the default) picks ``vector`` above :data:`VECTOR_MIN_BLES` BLEs, where
-the numpy per-call overhead is amortized by net fanout.
+The annealer keeps numpy array state: BLE→site coordinates live in one
+int array, nets are flattened terminal-index slices, and a move's
+affected nets are re-priced with two ``reduceat`` reductions over a
+precomputed per-BLE (or per-pair) slice table.  HPWL is integer-valued,
+so every delta is exact and the RNG stream (``random()`` is drawn only
+when ``delta > 0``) depends on the seed and the move outcomes alone.
+tests/cad/reference.py keeps the original per-net python ``max``/``min``
+annealer as the oracle it is pinned bit-identical to.
 
 Placement is always *region-relative feasible*: every site lies inside the
 region, so the result translates with the region (relocatable bitstreams).
@@ -45,13 +37,7 @@ from .pack import PackedDesign, nets_of
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cost
     from .instrument import CadInstrumentation
 
-__all__ = ["Placement", "place", "PlacementError", "hpwl", "VECTOR_MIN_BLES"]
-
-#: ``engine="auto"`` switches to the numpy annealer at this design size.
-#: Below it the fixed per-move numpy call cost outweighs what vectorized
-#: max/min saves on the few, narrow nets a move touches (measured
-#: break-even ~0.98x at 12 BLEs, ~2x from ~46 BLEs up).
-VECTOR_MIN_BLES = 24
+__all__ = ["Placement", "place", "PlacementError", "hpwl"]
 
 
 class PlacementError(Exception):
@@ -129,7 +115,6 @@ def place(
     seed: int = 0,
     effort: str = "sa",
     instrument: Optional["CadInstrumentation"] = None,
-    engine: str = "auto",
 ) -> Placement:
     """Place ``design`` into ``region``.
 
@@ -138,18 +123,11 @@ def place(
     temperature step; it is never consulted for decisions, so results
     are bit-identical with or without it.
 
-    ``engine`` selects the annealing kernel: ``"scalar"`` (the reference
-    implementation), ``"vector"`` (numpy array state) or ``"auto"``
-    (vector above :data:`VECTOR_MIN_BLES` BLEs).  The engines accept the
-    same moves and produce the same coordinates for the same seed.
-
     Raises :class:`PlacementError` when the design needs more CLBs than
     the region offers — the paper's "circuit too large" admission failure.
     """
     if effort not in ("greedy", "sa"):
         raise ValueError(f"unknown effort {effort!r}")
-    if engine not in ("auto", "scalar", "vector"):
-        raise ValueError(f"unknown placement engine {engine!r}")
     n = design.n_clbs
     if n > region.area:
         raise PlacementError(
@@ -163,7 +141,7 @@ def place(
     placement = Placement(design=design, region=region, coords=coords)
     placement.validate()
     if effort == "sa" and n >= 2:
-        _anneal(placement, sites, seed, instrument, engine=engine)
+        _anneal(placement, sites, seed, instrument)
         placement.validate()
     return placement
 
@@ -194,112 +172,6 @@ def _connectivity_order(design: PackedDesign) -> List[str]:
     return order
 
 
-def _anneal(
-    placement: Placement,
-    sites: List[Coord],
-    seed: int,
-    instrument: Optional["CadInstrumentation"] = None,
-    engine: str = "auto",
-) -> None:
-    """In-place simulated-annealing refinement of ``placement.coords``.
-
-    The ``instrument`` hook observes each temperature step after its
-    moves are decided (the RNG draw sequence is a function of the seed
-    and the move outcomes alone), keeping instrumented and plain runs
-    bit-identical.  ``engine`` picks the kernel; the result does not
-    depend on it.
-    """
-    if engine == "auto":
-        engine = "vector" if len(placement.design.bles) >= VECTOR_MIN_BLES \
-            else "scalar"
-    if engine == "vector":
-        _anneal_vector(placement, sites, seed, instrument)
-    else:
-        _anneal_scalar(placement, sites, seed, instrument)
-
-
-def _anneal_scalar(
-    placement: Placement,
-    sites: List[Coord],
-    seed: int,
-    instrument: Optional["CadInstrumentation"] = None,
-) -> None:
-    """The reference annealer: per-net python max/min move pricing.
-
-    Kept verbatim as the behavioral pin for the vector engine — the
-    parity tests compare every accepted move and final coordinate
-    against this implementation.
-    """
-    rng = random.Random(seed)
-    design = placement.design
-    coords = placement.coords
-    nets = _net_terminals(design)
-    nets_of_ble: Dict[str, List[int]] = {b.name: [] for b in design.bles}
-    for i, terms in enumerate(nets):
-        for t in terms:
-            nets_of_ble[t].append(i)
-
-    def net_cost(i: int) -> float:
-        xs = [coords[t].x for t in nets[i]]
-        ys = [coords[t].y for t in nets[i]]
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-    site_to_ble: Dict[Coord, Optional[str]] = {s: None for s in sites}
-    for name, c in coords.items():
-        site_to_ble[c] = name
-    names = [b.name for b in design.bles]
-    cost = sum(net_cost(i) for i in range(len(nets)))
-    temp = max(1.0, cost * 0.2)
-    moves_per_temp = max(16, 8 * len(names))
-    step = 0
-    while temp > 0.05:
-        step_t0 = instrument.now() if instrument is not None else 0.0
-        accepted = 0
-        evaluated = 0
-        for _ in range(moves_per_temp):
-            a = rng.choice(names)
-            target = rng.choice(sites)
-            ca = coords[a]
-            if target == ca:
-                continue
-            evaluated += 1
-            b = site_to_ble[target]
-            affected = set(nets_of_ble[a])
-            if b is not None:
-                affected |= set(nets_of_ble[b])
-            before = sum(net_cost(i) for i in affected)
-            coords[a] = target
-            site_to_ble[target] = a
-            if b is not None:
-                coords[b] = ca
-                site_to_ble[ca] = b
-            else:
-                site_to_ble[ca] = None
-            after = sum(net_cost(i) for i in affected)
-            delta = after - before
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                cost += delta
-                accepted += 1
-            else:  # revert
-                coords[a] = ca
-                site_to_ble[ca] = a
-                if b is not None:
-                    coords[b] = target
-                    site_to_ble[target] = b
-                else:
-                    site_to_ble[target] = None
-        if instrument is not None:
-            instrument.anneal_step(
-                step=step, temperature=temp, moves=evaluated,
-                accepted=accepted, cost=cost,
-                wall_seconds=instrument.now() - step_t0,
-            )
-        step += 1
-        temp *= 0.8
-        if accepted == 0:
-            break
-
-
 #: One precomputed move-pricing table: ``flat2`` indexes the combined
 #: x|y coordinate array for every terminal of every affected net (the x
 #: block first, then the y block offset by ``n``), ``starts2`` are the
@@ -308,13 +180,13 @@ def _anneal_scalar(
 _MoveTable = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
-def _anneal_vector(
+def _anneal(
     placement: Placement,
     sites: List[Coord],
     seed: int,
     instrument: Optional["CadInstrumentation"] = None,
 ) -> None:
-    """The numpy annealer — bit-identical to :func:`_anneal_scalar`.
+    """In-place simulated-annealing refinement of ``placement.coords``.
 
     Array state: BLE coordinates live in one ``(2n,)`` int64 array
     (x block then y block), nets in a flattened terminal-index CSR.
@@ -323,11 +195,13 @@ def _anneal_vector(
     (swap, built lazily) slice table; the untouched nets' spans are
     served from a per-net span cache, so ``before`` costs nothing.
 
-    Exactness: HPWL spans are integers, every delta is an exact int in
-    both engines, and the acceptance draw ``rng.random()`` happens only
-    when ``delta > 0`` — so the RNG stream, the accepted-move sequence,
-    the running cost and the final coordinates all match the scalar
-    reference bit for bit.
+    Exactness: HPWL spans are integers, so every delta is an exact int,
+    and the acceptance draw ``rng.random()`` happens only when
+    ``delta > 0`` — the RNG stream, the accepted-move sequence, the
+    running cost and the final coordinates match the per-net python
+    reference bit for bit.  The ``instrument`` hook observes each
+    temperature step after its moves are decided, keeping instrumented
+    and plain runs bit-identical.
     """
     rng = random.Random(seed)
     design = placement.design
@@ -411,8 +285,10 @@ def _anneal_vector(
                 key = (ai, bi) if ai <= bi else (bi, ai)
                 tab = pair_tab.get(key)
                 if tab is None:
-                    union = np.union1d(ble_tab[ai][2], ble_tab[bi][2])
-                    tab = make_table([int(i) for i in union])
+                    # A python set union, not np.union1d: same sorted
+                    # ids, without numpy's first-use cost (~1.7 MB RSS).
+                    tab = make_table(sorted(
+                        set(nets_of_ble[ai]).union(nets_of_ble[bi])))
                     pair_tab[key] = tab
                 flat2, starts2, netids, k = tab
             if k:

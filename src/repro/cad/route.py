@@ -8,21 +8,15 @@ taps, enabled switches, pad taps, per-sink path lengths) to be turned
 directly into configuration bits and timing numbers.
 
 Router state (occupancy, history, the long-line base-cost mask) lives in
-numpy arrays.  Two cost engines share it:
-
-* ``scalar`` — the reference: :meth:`Router._node_cost` priced per node
-  inside the Dijkstra loop, exactly as the router has always worked;
-* ``vector`` — one elementwise cost vector
-  ``base * (1 + history) * (1 + pressure * occupancy)`` computed per
-  ``_route_net`` call and indexed by the Dijkstra loop.
-
-The vector is exact, not an approximation: within one ``_route_net``
-call the only occupancy that changes is the net's own committed nodes,
-and for those the scalar path subtracts the net-membership unit again —
-so the per-node cost is invariant across the call, float64 arithmetic is
-elementwise-identical, and routes are node-for-node the same (pinned by
-tests/cad/test_route_parity.py).  Overuse detection and the history bump
-between iterations are single array ops under both engines.
+numpy arrays.  Each ``_route_net`` call prices every node once, as the
+elementwise vector ``base * (1 + history) * (1 + pressure * occupancy)``,
+and the Dijkstra loop indexes it.  The vector is exact, not an
+approximation: within one call the only occupancy that changes is the
+net's own committed nodes, and per-visit pricing subtracts the
+net-membership unit for those again — so each node's cost is invariant
+across the call, and routes are node-for-node those of the per-visit
+reference router kept in tests/cad/reference.py.  Overuse detection and
+the history bump between iterations are single array ops.
 """
 
 from __future__ import annotations
@@ -114,16 +108,9 @@ class Router:
         graph: RoutingGraph,
         max_iterations: int = 24,
         reserved: Optional[Dict[int, str]] = None,
-        engine: str = "auto",
     ) -> None:
-        if engine not in ("auto", "scalar", "vector"):
-            raise ValueError(f"unknown router engine {engine!r}")
         self.graph = graph
         self.max_iterations = max_iterations
-        #: ``scalar`` prices nodes one by one (the reference), ``vector``
-        #: precomputes one cost vector per net; ``auto`` means vector
-        #: (the precompute amortizes at every graph size measured).
-        self.engine = engine
         #: node id -> owning net name: nobody else may even pass through
         #: (virtual pins are interface wires, not routing stock — an
         #: unused input's pin must stay electrically private).
@@ -149,30 +136,17 @@ class Router:
     #: resources, so casual short hops should prefer segments.
     LONG_BASE_COST = 2.5
 
-    def _node_cost(self, node: int, net_nodes: Set[int],
-                   net_name: Optional[str] = None) -> float:
-        """The reference per-node cost (the ``scalar`` engine)."""
-        owner = self.reserved.get(node)
-        if owner is not None and owner != net_name:
-            return float("inf")
-        occ = self.occupancy[node]
-        if node in net_nodes:
-            occ -= 1
-        over = max(0, occ)  # sharing beyond capacity 1
-        base = self.LONG_BASE_COST if self.graph.is_long(node) else 1.0
-        return base * (1.0 + self.history[node]) * (1.0 + self._pressure * over)
-
     def _net_cost_vector(self, net_name: Optional[str]) -> List[float]:
-        """All node costs for one :meth:`_route_net` call (the ``vector``
-        engine), as python floats for the Dijkstra heap.
+        """All node costs for one :meth:`_route_net` call, as python
+        floats for the Dijkstra heap; ``inf`` on nodes reserved for
+        another net.
 
         Computed against an *empty* net tree, which stays exact for the
         whole call: a node the net commits gains one occupancy unit but
-        also net membership, and :meth:`_node_cost` subtracts membership
-        back out — ``max(0, occ+1-1) == max(0, occ)``.  Nothing else
-        mutates occupancy, history or pressure mid-call, and the
-        elementwise float64 products match the scalar expression bit for
-        bit.
+        also net membership, which per-visit pricing subtracts back out
+        — ``max(0, occ+1-1) == max(0, occ)``.  Nothing else mutates
+        occupancy, history or pressure mid-call, and the elementwise
+        float64 products match the per-node expression bit for bit.
         """
         cost = (self._base * (1.0 + self.history)
                 * (1.0 + self._pressure * self.occupancy))
@@ -242,11 +216,7 @@ class Router:
         g = self.graph
         routed = RoutedNet(name=net.name)
         seeds = self._source_seeds(net.source)
-        # The vector engine prices every node once per net call; the
-        # scalar engine prices inside the loop (see _net_cost_vector for
-        # why both give identical costs).
-        cost_vec = (self._net_cost_vector(net.name)
-                    if self.engine != "scalar" else None)
+        cost_vec = self._net_cost_vector(net.name)
         #: node -> (n_wires, n_switches) from the source, for timing.
         depth: Dict[int, Tuple[int, int]] = {}
 
@@ -261,8 +231,7 @@ class Router:
                 prev[nid] = (None, ("tree",))
                 heapq.heappush(heap, (0.0, nid))
             for nid, entry in seeds:
-                cost = (cost_vec[nid] if cost_vec is not None
-                        else self._node_cost(nid, routed.nodes, net.name))
+                cost = cost_vec[nid]
                 if cost == float("inf"):
                     continue
                 if nid not in dist or cost < dist[nid]:
@@ -278,8 +247,7 @@ class Router:
                     found = nid
                     break
                 for nxt, edge in g.adj[nid]:
-                    step = (cost_vec[nxt] if cost_vec is not None
-                            else self._node_cost(nxt, routed.nodes, net.name))
+                    step = cost_vec[nxt]
                     if step == float("inf"):
                         continue
                     nd = d + step

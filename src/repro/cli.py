@@ -99,21 +99,26 @@ def cmd_circuits(_args) -> int:
     return 0
 
 
+def _compile_kwargs(args) -> dict:
+    """``compile_netlist`` options from the shared compile arguments."""
+    return {
+        "mode": "dedicated" if args.dedicated else "relocatable",
+        "seed": args.seed,
+        "effort": args.effort,
+        "shape": args.shape,
+    }
+
+
 def cmd_compile(args) -> int:
     from .cad import compile_netlist, verify_bitstream
-    from .device import get_family
+    from .device import ConfigPort, get_family
     from .netlist import netlist_stats
 
     arch = get_family(args.family)
     nl = build_circuit(args.circuit)
     st = netlist_stats(nl)
     print(f"source: {st}")
-    res = compile_netlist(
-        nl, arch,
-        mode="dedicated" if args.dedicated else "relocatable",
-        seed=args.seed, effort=args.effort, shape=args.shape,
-        engine=args.engine,
-    )
+    res = compile_netlist(nl, arch, **_compile_kwargs(args))
     bs = res.bitstream
     print(f"target: {arch.name}  region {bs.region}  "
           f"{res.design.n_clbs} CLBs used")
@@ -121,7 +126,7 @@ def cmd_compile(args) -> int:
           f"({res.timing.fmax / 1e6:.1f} MHz, {res.timing.critical_kind})")
     print(f"routing: {res.n_nets} nets, wirelength {res.wirelength}")
     print(f"config: {len(bs.frames_touched(arch))} frames, "
-          f"load {fmt_time(arch.frame_overhead * len(bs.frames_touched(arch)) + len(bs.frames_touched(arch)) * arch.frame_bits / arch.serial_rate)}"
+          f"load {fmt_time(ConfigPort(arch).load_time(bs).seconds)}"
           f", {bs.n_state_bits} state bits")
     if args.verify:
         verify_bitstream(nl, bs, arch)
@@ -164,23 +169,16 @@ def cmd_compile_report(args) -> int:
         nl = build_circuit(args.circuit)
         instr = CadInstrumentation()
         cache = CompileCache() if args.compile_cache else None
+        kwargs = _compile_kwargs(args)
         try:
-            res = compile_netlist(
-                nl, arch,
-                mode="dedicated" if args.dedicated else "relocatable",
-                seed=args.seed, effort=args.effort, shape=args.shape,
-                instrument=instr, engine=args.engine, cache=cache,
-            )
+            res = compile_netlist(nl, arch, instrument=instr, cache=cache,
+                                  **kwargs)
             if cache is not None:
                 # Cold + warm through one cache in one event stream: the
                 # phase table shows the cold compile, the cache table the
                 # warm flow hit.
-                res = compile_netlist(
-                    nl, arch,
-                    mode="dedicated" if args.dedicated else "relocatable",
-                    seed=args.seed, effort=args.effort, shape=args.shape,
-                    instrument=instr, engine=args.engine, cache=cache,
-                )
+                res = compile_netlist(nl, arch, instrument=instr,
+                                      cache=cache, **kwargs)
         except (CompileError, PlacementError, RoutingError) as exc:
             # The phases that did run are exactly what one wants to see
             # when a compile fails — report them, then exit nonzero.
@@ -655,18 +653,18 @@ def make_parser() -> argparse.ArgumentParser:
     sub.add_parser("circuits", help="list circuit generators")
     sub.add_parser("experiments", help="list the experiment index")
 
+    def add_compile_args(sp) -> None:
+        sp.add_argument("--family", default="VF12")
+        sp.add_argument("--effort", default="sa", choices=["greedy", "sa"])
+        sp.add_argument("--shape", default="square",
+                        choices=["square", "columns"])
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--dedicated", action="store_true",
+                        help="bind primary I/O to physical pads")
+
     c = sub.add_parser("compile", help="compile a circuit through the CAD flow")
     c.add_argument("circuit", help="generator spec, e.g. ripple_adder:4")
-    c.add_argument("--family", default="VF12")
-    c.add_argument("--effort", default="sa", choices=["greedy", "sa"])
-    c.add_argument("--shape", default="square", choices=["square", "columns"])
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--dedicated", action="store_true",
-                   help="bind primary I/O to physical pads")
-    c.add_argument("--engine", default="auto",
-                   choices=["auto", "scalar", "vector"],
-                   help="CAD kernel engine (results are bit-identical; "
-                        "auto picks by design size)")
+    add_compile_args(c)
     c.add_argument("--verify", action="store_true",
                    help="functionally verify the bitstream on the device")
 
@@ -679,16 +677,7 @@ def make_parser() -> argparse.ArgumentParser:
     cr.add_argument("circuit", nargs="?", default=None,
                     help="generator spec, e.g. ripple_adder:4 "
                          "(omit when using -i)")
-    cr.add_argument("--family", default="VF12")
-    cr.add_argument("--effort", default="sa", choices=["greedy", "sa"])
-    cr.add_argument("--shape", default="square", choices=["square", "columns"])
-    cr.add_argument("--seed", type=int, default=0)
-    cr.add_argument("--dedicated", action="store_true",
-                    help="bind primary I/O to physical pads")
-    cr.add_argument("--engine", default="auto",
-                    choices=["auto", "scalar", "vector"],
-                    help="CAD kernel engine (results are bit-identical; "
-                         "auto picks by design size)")
+    add_compile_args(cr)
     cr.add_argument("--compile-cache", action="store_true",
                     help="compile twice through one fresh CompileCache "
                          "and report the cold-miss/warm-hit cache summary")

@@ -185,11 +185,10 @@ class ConfigRegistry:
         effort: str = "sa",
         state_accessible: bool = True,
         shape: str = "square",
-        engine: str = "auto",
     ) -> ConfigEntry:
         result = compile_netlist(
             netlist, self.arch, region=region, seed=seed, effort=effort,
-            shape=shape, engine=engine, cache=self.compile_cache,
+            shape=shape, cache=self.compile_cache,
         )
         return self.register_compiled(
             result, name=name, state_accessible=state_accessible

@@ -139,14 +139,15 @@ class Kernel:
 
     # -- admission -----------------------------------------------------------
     def spawn(self, task: Task) -> Task:
-        """Register ``task``; it arrives at ``task.arrival``."""
+        """Register ``task``; it arrives at ``task.arrival``.  A refused
+        task leaves no trace, so a corrected one can be spawned again."""
         if task.state is not TaskState.NEW or task.tid in self._progress:
             raise ValueError(f"task {task.name!r} already spawned")
-        self.tasks.append(task)
-        self._progress[task.tid] = _Progress()
         delay = task.arrival - self.sim.now
         if delay < 0:
             raise ValueError(f"task {task.name!r} arrives in the past")
+        self.tasks.append(task)
+        self._progress[task.tid] = _Progress()
         self.sim.schedule_callback(delay, lambda: self._admit(task))
         self._ensure_dispatcher()
         return task

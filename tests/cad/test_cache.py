@@ -119,18 +119,6 @@ class TestFlowCache:
                         **compile_kw())
         assert cache.hits == 0
 
-    def test_engine_change_still_hits(self):
-        """The engine knob is deliberately outside the key: the kernels
-        are pinned bit-identical, so their outputs are interchangeable
-        cache content."""
-        cache = CompileCache()
-        scalar = compile_netlist(ripple_adder(4), ARCH, cache=cache,
-                                 engine="scalar", **compile_kw())
-        vector = compile_netlist(ripple_adder(4), ARCH, cache=cache,
-                                 engine="vector", **compile_kw())
-        assert cache.hits == 1
-        assert vector.bitstream == scalar.bitstream
-
 
 class TestStageCache:
     def test_seed_change_reuses_pack(self):

@@ -1,10 +1,11 @@
-"""Scalar vs vectorized SA placer parity.
+"""Production SA placer vs the reference annealer.
 
-The vector engine rebuilds the anneal around array state — per-move
-HPWL deltas come from one fancy index plus two ``reduceat`` calls
-instead of per-terminal python sums — but it consumes the *same RNG
-stream* and computes the *same integer deltas*, so it must accept the
-same moves and land every BLE on the same site.  These tests pin that
+The production annealer keeps array state — per-move HPWL deltas come
+from one fancy index plus two ``reduceat`` calls instead of
+per-terminal python sums — but it consumes the *same RNG stream* and
+computes the *same integer deltas* as the reference
+(``tests.cad.reference._anneal_scalar``), so it must accept the same
+moves and land every BLE on the same site.  These tests pin that
 contract: same seed → identical coords, identical instrument event
 streams (temperatures, costs, acceptance counts), on generated designs
 too.
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cad import (
-    VECTOR_MIN_BLES,
+    CadAnnealStep,
     CadInstrumentation,
     pack,
     place,
@@ -31,6 +32,7 @@ from repro.netlist import (
     ripple_adder,
     serial_crc,
 )
+from tests.cad.reference import reference_place
 
 ARCH = get_family("VF16")
 
@@ -62,52 +64,29 @@ def region_for(design):
 def test_engines_place_identically(factory, seed):
     design = packed(factory)
     region = region_for(design)
-    s = place(design, region, seed=seed, effort="sa", engine="scalar")
-    v = place(design, region, seed=seed, effort="sa", engine="vector")
-    assert s.coords == v.coords
+    ref = reference_place(design, region, seed=seed)
+    prod = place(design, region, seed=seed, effort="sa")
+    assert prod.coords == ref.coords
 
 
 @pytest.mark.parametrize("factory", CIRCUITS[:3])
 def test_engines_emit_identical_event_streams(factory):
     """Not just the same answer — the same anneal: every step's
     temperature, running cost and acceptance counts match, so the
-    vector engine is observationally indistinguishable under
-    instrumentation (wall time aside)."""
-    from repro.cad import CadAnnealStep
-
+    production annealer is observationally indistinguishable from the
+    reference under instrumentation (wall time aside)."""
     design = packed(factory)
     region = region_for(design)
     streams = {}
-    for engine in ("scalar", "vector"):
+    for name, run in (("reference", reference_place), ("production", place)):
         instr = CadInstrumentation()
-        place(design, region, seed=3, effort="sa", engine=engine,
-              instrument=instr)
-        streams[engine] = [
+        run(design, region, seed=3, instrument=instr)
+        streams[name] = [
             (e.step, e.temperature, e.moves, e.accepted, e.cost)
             for e in instr.events if isinstance(e, CadAnnealStep)
         ]
-    assert streams["scalar"]  # the anneal actually ran instrumented
-    assert streams["scalar"] == streams["vector"]
-
-
-def test_auto_dispatch_threshold():
-    """auto picks the vector engine at VECTOR_MIN_BLES and the scalar
-    one below — and either way the answer is the scalar answer."""
-    small = packed(lambda: ripple_adder(2))
-    assert len(small.bles) < VECTOR_MIN_BLES
-    big = packed(lambda: moving_sum_fir(8, 4))
-    assert len(big.bles) >= VECTOR_MIN_BLES
-    for design in (small, big):
-        region = region_for(design)
-        a = place(design, region, seed=3, effort="sa", engine="auto")
-        s = place(design, region, seed=3, effort="sa", engine="scalar")
-        assert a.coords == s.coords
-
-
-def test_unknown_engine_rejected():
-    design = packed(lambda: ripple_adder(2))
-    with pytest.raises(ValueError, match="engine"):
-        place(design, region_for(design), engine="simd")
+    assert streams["reference"]  # the anneal actually ran instrumented
+    assert streams["reference"] == streams["production"]
 
 
 @st.composite
@@ -134,9 +113,9 @@ def random_netlists(draw):
 def test_engines_agree_on_random_designs(nl, seed):
     design = pack(technology_map(nl, ARCH.k), ARCH.k)
     region = region_for(design)
-    s = place(design, region, seed=seed, effort="sa", engine="scalar")
-    v = place(design, region, seed=seed, effort="sa", engine="vector")
-    assert s.coords == v.coords
+    ref = reference_place(design, region, seed=seed)
+    prod = place(design, region, seed=seed, effort="sa")
+    assert prod.coords == ref.coords
 
 
 def test_connectivity_order_matches_list_reference():

@@ -162,6 +162,24 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             kernel.spawn(t)
 
+    def test_refused_spawn_leaves_no_state(self):
+        """An arrival in the past is refused before registration: the
+        run neither deadlocks on the never-started task nor rejects the
+        corrected respawn as "already spawned"."""
+        sim, kernel = make_kernel()
+        kernel.spawn(Task("early", [CpuBurst(2.0)]))
+        sim.run(until=1.0)
+        late = Task("late", [CpuBurst(1.0)], arrival=0.5)
+        with pytest.raises(ValueError, match="past"):
+            kernel.spawn(late)
+        assert late not in kernel.tasks
+        assert late.state is TaskState.NEW
+        late.arrival = sim.now
+        kernel.spawn(late)
+        kernel.run()
+        assert late.state is TaskState.DONE
+        assert late.accounting.arrival == pytest.approx(1.0)
+
     def test_deadlock_detection(self):
         class StuckService(FpgaService):
             def execute(self, task, op):
