@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..telemetry.bus import EventBus
 from ..telemetry.events import TelemetryEvent, register_event_type
@@ -70,11 +70,6 @@ class CadPhaseStart(TelemetryEvent):
 
     phase: str = ""
     size: int = 0
-    kind: ClassVar[Optional[str]] = None
-
-    @property
-    def detail(self) -> str:
-        return self.phase
 
 
 @register_event_type
@@ -92,11 +87,6 @@ class CadPhaseEnd(TelemetryEvent):
     phase: str = ""
     seconds: float = 0.0
     size: int = 0
-    kind: ClassVar[Optional[str]] = None
-
-    @property
-    def detail(self) -> str:
-        return f"{self.phase} ({self.size})"
 
 
 @register_event_type
@@ -118,16 +108,10 @@ class CadAnnealStep(TelemetryEvent):
     accepted: int = 0
     cost: float = 0.0
     wall_seconds: float = 0.0
-    kind: ClassVar[Optional[str]] = None
 
     @property
     def acceptance(self) -> float:
         return 0.0 if self.moves == 0 else self.accepted / self.moves
-
-    @property
-    def detail(self) -> str:
-        return (f"T={self.temperature:.3g} cost={self.cost:.6g} "
-                f"acc={self.acceptance:.0%}")
 
 
 @register_event_type
@@ -146,12 +130,6 @@ class CadRouteIteration(TelemetryEvent):
     ripped_up: int = 0
     pressure: float = 0.0
     wall_seconds: float = 0.0
-    kind: ClassVar[Optional[str]] = None
-
-    @property
-    def detail(self) -> str:
-        return (f"iter {self.iteration}: {self.overused} overused, "
-                f"{self.ripped_up} ripped")
 
 
 @register_event_type
@@ -171,11 +149,6 @@ class CadCacheLookup(TelemetryEvent):
     outcome: str = ""
     digest: str = ""
     bytes_served: int = 0
-    kind: ClassVar[Optional[str]] = None
-
-    @property
-    def detail(self) -> str:
-        return f"{self.stage}: {self.outcome}"
 
 
 class _PhaseHandle:

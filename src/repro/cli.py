@@ -338,11 +338,6 @@ def cmd_trace(args) -> int:
             print("open in https://ui.perfetto.dev or chrome://tracing")
     _warn_dropped(log.dropped, "--max-events", args.max_events or 0,
                   "the exported stream")
-    kernel = getattr(vf, "last_kernel", None)
-    kernel_trace = kernel.trace if kernel is not None else None
-    if kernel_trace is not None:
-        _warn_dropped(kernel_trace.dropped, "max_trace_events",
-                      kernel_trace.max_events or 0, "the kernel trace")
     return 0
 
 

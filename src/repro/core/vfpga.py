@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from ..device import Architecture, DeviceView, Fpga, get_family
 from ..netlist import Netlist
-from ..osim import DEFAULT_MAX_TRACE_EVENTS, Kernel, RoundRobin, RunStats, Scheduler, Task
+from ..osim import Kernel, RoundRobin, RunStats, Scheduler, Task
 from ..sim import Simulator
 from ..telemetry import Auditor, EventBus
 from .baselines import (
@@ -201,17 +201,18 @@ class VirtualFpga:
         audit: Union[None, str, Auditor] = None,
         audit_deadline: Optional[float] = None,
         op_deadline: Optional[float] = None,
-        max_trace_events: Optional[int] = DEFAULT_MAX_TRACE_EVENTS,
         **policy_kw,
     ) -> RunStats:
         """Run ``tasks`` under ``policy`` on a fresh simulated system.
 
         Returns the :class:`~repro.osim.trace.RunStats`; the service used
         is available afterwards as :attr:`last_service` and the kernel as
-        :attr:`last_kernel` for metric inspection.  Pass a telemetry
-        ``bus`` (with recorders/exporters already subscribed) to capture
-        the run's full event stream; ``telemetry_steps`` additionally
-        publishes one event per simulator step.
+        :attr:`last_kernel` for metric inspection.  The run records no
+        events of its own: pass a telemetry ``bus`` with an
+        :class:`~repro.telemetry.EventLog` (or other recorders and
+        exporters) already subscribed to capture its event stream;
+        ``telemetry_steps`` additionally publishes one event per
+        simulator step.
 
         Auditing: ``audit`` may be ``"lenient"``/``"strict"`` (an
         :class:`~repro.telemetry.Auditor` is created and subscribed
@@ -244,7 +245,6 @@ class VirtualFpga:
             context_switch=context_switch,
             bus=bus,
             telemetry_steps=telemetry_steps,
-            max_trace_events=max_trace_events,
             op_deadline=op_deadline,
         )
         kernel.spawn_all(list(tasks))

@@ -15,7 +15,7 @@ from .scheduler import (
 )
 from .syscalls import FpgaService, NullFpgaService, SyscallError
 from .task import CpuBurst, FpgaOp, Step, Task, TaskAccounting, TaskState
-from .trace import DEFAULT_MAX_TRACE_EVENTS, RunStats, Trace, TraceEvent, run_stats
+from .trace import RunStats, run_stats
 from .workload import (
     alternating_task,
     bursty_arrivals,
@@ -26,7 +26,6 @@ from .workload import (
 
 __all__ = [
     "CpuBurst",
-    "DEFAULT_MAX_TRACE_EVENTS",
     "DeadlockError",
     "Fifo",
     "FpgaOp",
@@ -43,8 +42,6 @@ __all__ = [
     "Task",
     "TaskAccounting",
     "TaskState",
-    "Trace",
-    "TraceEvent",
     "alternating_task",
     "bursty_arrivals",
     "run_stats",

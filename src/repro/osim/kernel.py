@@ -29,7 +29,7 @@ from ..telemetry import (
 from .scheduler import Scheduler
 from .syscalls import FpgaService, SyscallError
 from .task import CpuBurst, FpgaOp, Task, TaskState
-from .trace import DEFAULT_MAX_TRACE_EVENTS, RunStats, Trace, run_stats
+from .trace import RunStats, run_stats
 
 __all__ = ["Kernel", "DeadlockError"]
 
@@ -62,18 +62,12 @@ class Kernel:
         FPGA management policy (see :mod:`repro.core`).
     context_switch:
         Seconds charged at every dispatch.
-    trace:
-        Record a :class:`~repro.osim.trace.Trace` of kernel events (a
-        derived subscriber of :attr:`bus`).
     bus:
         The telemetry :class:`~repro.telemetry.EventBus` every layer
-        publishes into (a fresh private bus when omitted).  Pass a shared
-        bus to attach exporters/profilers before the run starts.
-    max_trace_events:
-        Bound the legacy trace to a ring of this many rows (see
-        :class:`~repro.osim.trace.Trace`).  Every entry point shares the
-        same default, :data:`~repro.osim.trace.DEFAULT_MAX_TRACE_EVENTS`
-        (DESIGN.md §7c); pass ``None`` for the legacy unbounded ring.
+        publishes into (a fresh private bus when omitted).  The kernel
+        subscribes nothing itself: to keep the run's events, attach an
+        :class:`~repro.telemetry.EventLog` (or exporters, profilers) to a
+        shared bus before the run starts.
     telemetry_steps:
         Publish a :class:`~repro.telemetry.SimStep` event (with calendar
         depth) for every simulator step.  Off by default — it is the one
@@ -96,9 +90,7 @@ class Kernel:
         scheduler: Scheduler,
         fpga_service: FpgaService,
         context_switch: float = 20e-6,
-        trace: bool = True,
         bus: Optional[EventBus] = None,
-        max_trace_events: Optional[int] = DEFAULT_MAX_TRACE_EVENTS,
         telemetry_steps: bool = False,
         op_deadline: Optional[float] = None,
     ) -> None:
@@ -114,8 +106,6 @@ class Kernel:
             bind_clock(lambda: sim.now)
         self.service = fpga_service
         self.bus = bus if bus is not None else EventBus()
-        self.trace = Trace(enabled=trace, max_events=max_trace_events)
-        self.bus.subscribe(self.trace.record)
         if telemetry_steps:
             sim.set_step_hook(
                 lambda now, depth: self.bus.publish(

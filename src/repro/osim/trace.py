@@ -1,100 +1,18 @@
-"""Event tracing and run-level statistics.
+"""Run-level statistics.
 
-:class:`Trace` is the legacy kernel-facing event log.  Since the unified
-telemetry spine (:mod:`repro.telemetry`) it is a *derived subscriber* of
-the event bus: typed events that historically appeared in the trace carry
-their legacy ``kind`` string and are folded back into identical
-:class:`TraceEvent` rows, so every query (`of_kind`, `count`, indexing)
-behaves exactly as before the refactor.  The experiment harness reduces
-finished runs to a :class:`RunStats` row — the unit every benchmark table
-is built from.
+The experiment harness reduces finished runs to a :class:`RunStats` row,
+the unit every benchmark table is built from.  A run's events are kept
+by subscribing a :class:`~repro.telemetry.EventLog` to the kernel's bus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from .task import Task
 
-__all__ = ["TraceEvent", "Trace", "RunStats", "run_stats",
-           "DEFAULT_MAX_TRACE_EVENTS"]
-
-#: The one default trace bound every entry point shares (see DESIGN.md
-#: §7c): large enough that no realistic experiment truncates (the whole
-#: benchmark suite stays under ~10^5 rows), small enough that a runaway
-#: million-task run cannot exhaust memory.  Pass ``max_trace_events=None``
-#: for the legacy unbounded behaviour.
-DEFAULT_MAX_TRACE_EVENTS = 1_000_000
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One timestamped occurrence."""
-
-    time: float
-    kind: str          #: e.g. "dispatch", "fpga-load", "fpga-exec", "done"
-    task: str          #: task name ("" for system-wide events)
-    detail: str = ""
-
-
-class Trace:
-    """Event log with simple queries, fed by the telemetry bus.
-
-    Parameters
-    ----------
-    enabled:
-        ``False`` records nothing (queries return empty).
-    max_events:
-        ``None`` = unbounded (legacy behaviour).  Otherwise keep only the
-        most recent ``max_events`` rows in a ring and count the overflow
-        in :attr:`dropped` — million-task runs stay bounded in memory.
-    """
-
-    def __init__(self, enabled: bool = True,
-                 max_events: Optional[int] = None) -> None:
-        if max_events is not None and max_events < 1:
-            raise ValueError("max_events must be a positive integer or None")
-        self.enabled = enabled
-        self.max_events = max_events
-        self.dropped = 0
-        self._events: List[TraceEvent] = []
-        self._start = 0  # ring start index when bounded
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        """The retained events, oldest first."""
-        if self._start == 0:
-            return self._events
-        return self._events[self._start:] + self._events[:self._start]
-
-    def log(self, time: float, kind: str, task: str = "", detail: str = "") -> None:
-        if not self.enabled:
-            return
-        ev = TraceEvent(time, kind, task, detail)
-        if self.max_events is None or len(self._events) < self.max_events:
-            self._events.append(ev)
-            return
-        self._events[self._start] = ev
-        self._start = (self._start + 1) % self.max_events
-        self.dropped += 1
-
-    def record(self, event) -> None:
-        """Bus subscriber: fold a typed telemetry event into the legacy
-        log iff it has a legacy ``kind`` (bus-only events are skipped, so
-        the trace content matches the pre-bus implementation exactly)."""
-        kind = event.kind
-        if kind is not None:
-            self.log(event.time, kind, event.task, event.detail)
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
-
-    def __len__(self) -> int:
-        return len(self._events)
+__all__ = ["RunStats", "run_stats"]
 
 
 @dataclass

@@ -1,15 +1,13 @@
 """Unified telemetry spine: one typed event bus across every layer.
 
-Before this package existed, observability was scattered: the kernel kept
-a :class:`~repro.osim.trace.Trace`, every service hand-filled a
-:class:`~repro.core.metrics.ServiceMetrics` at each charge site, and
-tasks carried their own accounting — three disconnected views that were
-cross-checked only informally.  Now there is one spine:
+Every layer reports through one spine:
 
 * layers **publish** frozen, typed events (:mod:`repro.telemetry.events`)
   into an :class:`EventBus` (:mod:`repro.telemetry.bus`);
-* the legacy trace and the service metrics are **derived subscribers**
-  (:mod:`repro.telemetry.recorders`) — their public APIs are unchanged;
+* the one event log, :class:`EventLog`, and the service metrics
+  (:class:`MetricsRecorder`) are **subscribers**
+  (:mod:`repro.telemetry.recorders`); the kernel subscribes nothing
+  itself, so a run records only what its caller attaches;
 * exporters (:mod:`repro.telemetry.exporters`) turn a recorded stream
   into JSONL or a Chrome ``trace_event`` file (open in Perfetto) — and
   back (:func:`read_jsonl`), plus Prometheus text and per-span CSV;

@@ -8,9 +8,8 @@ workload runs**, from the event stream alone — it subscribes to the bus
 like any recorder, keeps its own shadow ledgers, and publishes an
 :class:`AuditViolation` event back onto the bus whenever the stream
 contradicts the contract.  Because violations are ordinary telemetry
-events they appear in the legacy trace (``kind="audit-violation"``),
-JSONL recordings, Chrome traces and ``repro report`` with no extra
-plumbing.
+events they appear in the :class:`~repro.telemetry.EventLog`, JSONL
+recordings, Chrome traces and ``repro report`` with no extra plumbing.
 
 Invariants
 ----------
@@ -58,7 +57,7 @@ echoing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .bus import EventBus
 from .events import (
@@ -105,11 +104,6 @@ class AuditViolation(TelemetryEvent):
     severity: str = "error"     #: "error" | "warning"
     message: str = ""
     offending: Tuple[str, ...] = ()
-    kind: ClassVar[Optional[str]] = "audit-violation"
-
-    @property
-    def detail(self) -> str:
-        return f"{self.invariant}: {self.message}"
 
 
 class AuditError(Exception):

@@ -3,29 +3,31 @@
 Every observable occurrence in the stack (kernel dispatches, configuration
 downloads, page faults, pin-mux transfers, scrub passes, …) is a frozen
 dataclass in this module.  Layers *publish* these into the
-:class:`~repro.telemetry.bus.EventBus`; everything that used to be a
-hand-filled counter (:class:`~repro.core.metrics.ServiceMetrics`, the
-legacy :class:`~repro.osim.trace.Trace`) is now *derived* from the stream
-by subscribers in :mod:`repro.telemetry.recorders`.
+:class:`~repro.telemetry.bus.EventBus`; counters such as
+:class:`~repro.core.metrics.ServiceMetrics` are *derived* from the stream
+by subscribers in :mod:`repro.telemetry.recorders`, and the one event log,
+:class:`~repro.telemetry.recorders.EventLog`, keeps the stream itself.
 
 Conventions
 -----------
-* ``time`` is simulation seconds (the publisher's ``sim.now``); duration
-  events carry ``seconds`` and are published at their *start* instant.
+* ``time`` is simulation seconds (the publisher's ``sim.now``).
+* Charge events carry ``seconds`` and are published at their *start*
+  instant, so they cover ``[time, time + seconds]``.  :class:`Wait` is
+  the one exception: how long a task queued is known only when the wait
+  ends, so it is published then and covers ``[time - seconds, time]``.
+  :func:`charge_interval` is the single home of this rule.
 * ``task`` is the task name ("" for system-wide events).
 * ``source`` identifies the publisher (the kernel, or one service
   instance — multi-board systems publish from several sources onto one
   bus, and per-board metrics are derived by filtering on it).
-* ``kind`` is the legacy :class:`~repro.osim.trace.Trace` kind string for
-  events that historically appeared in the trace; ``None`` marks
-  bus-only events, so the legacy trace content is byte-for-byte what it
-  was before the bus existed.
+* An event is identified by its class alone: subscribers select with
+  ``isinstance`` and recordings name the class (``"event"`` in JSONL).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import ClassVar, Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 __all__ = [
     "TelemetryEvent",
@@ -44,7 +46,7 @@ __all__ = [
     # device / integrity
     "ConfigPortOp", "ScrubPass", "Repair", "Upset",
     "EVENT_TYPES", "event_type", "register_event_type",
-    "registered_event_types",
+    "registered_event_types", "charge_interval",
 ]
 
 
@@ -55,14 +57,6 @@ class TelemetryEvent:
     time: float
     task: str = ""
     source: str = ""
-
-    #: Legacy trace kind; ``None`` = bus-only (never entered the Trace).
-    kind: ClassVar[Optional[str]] = None
-
-    @property
-    def detail(self) -> str:
-        """Legacy trace detail string (subclasses override)."""
-        return ""
 
     def to_record(self) -> Dict[str, object]:
         """Flat JSON-serializable view (one JSONL line)."""
@@ -83,28 +77,20 @@ class TelemetryEvent:
 class Admit(TelemetryEvent):
     """A task entered the system (arrival)."""
 
-    kind: ClassVar[Optional[str]] = "admit"
-
 
 @dataclass(frozen=True)
 class Dispatch(TelemetryEvent):
     """The CPU scheduler switched to a task."""
-
-    kind: ClassVar[Optional[str]] = "dispatch"
 
 
 @dataclass(frozen=True)
 class QuantumExpired(TelemetryEvent):
     """A CPU time slice ran out with work remaining."""
 
-    kind: ClassVar[Optional[str]] = "quantum-expired"
-
 
 @dataclass(frozen=True)
 class TaskDone(TelemetryEvent):
     """A task completed its whole program."""
-
-    kind: ClassVar[Optional[str]] = "done"
 
 
 @dataclass(frozen=True)
@@ -120,11 +106,6 @@ class FpgaRequest(TelemetryEvent):
 
     config: str = ""
     op_id: int = 0
-    kind: ClassVar[Optional[str]] = "fpga-request"
-
-    @property
-    def detail(self) -> str:
-        return self.config
 
 
 @dataclass(frozen=True)
@@ -134,11 +115,6 @@ class FpgaComplete(TelemetryEvent):
 
     config: str = ""
     op_id: int = 0
-    kind: ClassVar[Optional[str]] = "fpga-complete"
-
-    @property
-    def detail(self) -> str:
-        return self.config
 
 
 @dataclass(frozen=True)
@@ -210,11 +186,6 @@ class Load(TelemetryEvent):
     mode: str = ""
     frames_written: int = 0
     cache: str = ""
-    kind: ClassVar[Optional[str]] = "fpga-load"
-
-    @property
-    def detail(self) -> str:
-        return f"{self.handle}@{self.anchor}"
 
 
 @dataclass(frozen=True)
@@ -227,11 +198,6 @@ class Evict(TelemetryEvent):
     clbs: int = 0
     mode: str = ""
     frames_written: int = 0
-    kind: ClassVar[Optional[str]] = "fpga-unload"
-
-    @property
-    def detail(self) -> str:
-        return self.handle
 
 
 @dataclass(frozen=True)
@@ -247,11 +213,6 @@ class StateSave(TelemetryEvent):
     handle: str = ""
     seconds: float = 0.0
     version: int = 0
-    kind: ClassVar[Optional[str]] = "fpga-state-save"
-
-    @property
-    def detail(self) -> str:
-        return self.handle
 
 
 @dataclass(frozen=True)
@@ -262,11 +223,6 @@ class StateRestore(TelemetryEvent):
     handle: str = ""
     seconds: float = 0.0
     version: int = 0
-    kind: ClassVar[Optional[str]] = "fpga-state-restore"
-
-    @property
-    def detail(self) -> str:
-        return self.handle
 
 
 @dataclass(frozen=True)
@@ -279,7 +235,9 @@ class Exec(TelemetryEvent):
 
 @dataclass(frozen=True)
 class Wait(TelemetryEvent):
-    """Time a task spent queued for the fabric before being served."""
+    """Time a task spent queued for the fabric before being served.
+
+    Published when the wait *ends* (see :func:`charge_interval`)."""
 
     seconds: float = 0.0
 
@@ -293,10 +251,6 @@ class PortTransfer(TelemetryEvent):
     pins: int = 0
     seconds: float = 0.0
     factor: float = 1.0
-
-    @property
-    def detail(self) -> str:
-        return self.circuit
 
 
 @dataclass(frozen=True)
@@ -326,18 +280,11 @@ class PageFault(TelemetryEvent):
     """Accessed page was not resident — a demand download follows."""
 
     unit: str = ""
-    kind: ClassVar[Optional[str]] = "page-fault"
-
-    @property
-    def detail(self) -> str:
-        return self.unit
 
 
 @dataclass(frozen=True)
 class SegmentFault(PageFault):
-    """Segmentation's variable-size fault (same counter, distinct kind)."""
-
-    kind: ClassVar[Optional[str]] = "segment-fault"
+    """Segmentation's variable-size fault (same counter, distinct type)."""
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +296,6 @@ class Preempt(TelemetryEvent):
     """An executing circuit was preempted off the fabric."""
 
     handle: str = ""
-    kind: ClassVar[Optional[str]] = "fpga-preempt"
-
-    @property
-    def detail(self) -> str:
-        return self.handle
 
 
 @dataclass(frozen=True)
@@ -368,11 +310,6 @@ class Prefetch(TelemetryEvent):
     """Eager loading started a background download."""
 
     config: str = ""
-    kind: ClassVar[Optional[str]] = "fpga-prefetch"
-
-    @property
-    def detail(self) -> str:
-        return self.config
 
 
 @dataclass(frozen=True)
@@ -380,18 +317,11 @@ class Suspend(TelemetryEvent):
     """A task suspended waiting for partition space (starvation hazard)."""
 
     config: str = ""
-    kind: ClassVar[Optional[str]] = "fpga-suspend"
-
-    @property
-    def detail(self) -> str:
-        return self.config
 
 
 @dataclass(frozen=True)
 class Compact(TelemetryEvent):
     """Variable partitioning ran a compaction pass."""
-
-    kind: ClassVar[Optional[str]] = "fpga-compact"
 
 
 @dataclass(frozen=True)
@@ -409,8 +339,7 @@ class Placement(TelemetryEvent):
     Published right before the corresponding :class:`Load`, carrying the
     *decision* the Load only implies: which strategy ran, how many
     candidate positions it weighed, and how fragmented the free space
-    was at that instant.  Bus-only (``kind=None``): audit/report layers
-    subscribe, the legacy trace stays unchanged.
+    was at that instant.
     """
 
     strategy: str = ""
@@ -418,10 +347,6 @@ class Placement(TelemetryEvent):
     anchor: Tuple[int, int] = (0, 0)
     candidates: int = 1
     fragmentation: float = 0.0
-
-    @property
-    def detail(self) -> str:
-        return f"{self.handle}@{self.anchor} via {self.strategy}"
 
 
 @dataclass(frozen=True)
@@ -437,7 +362,6 @@ class SchedDecision(TelemetryEvent):
     (``state_cost``), the progress a rollback discards (``lost_cost``),
     the fabric seconds the resident op still needs (``remaining``) and
     the tightest waiter deadline slack (``slack``; ``inf`` = none).
-    Bus-only (``kind=None``): the legacy trace stays unchanged.
     """
 
     strategy: str = ""
@@ -451,24 +375,15 @@ class SchedDecision(TelemetryEvent):
     remaining: float = 0.0
     slack: float = float("inf")
 
-    @property
-    def detail(self) -> str:
-        verdict = "preempt" if self.preempt else "keep"
-        return f"{self.handle}: {verdict} ({self.reason}) via {self.strategy}"
-
 
 @dataclass(frozen=True)
 class DeadlineMiss(TelemetryEvent):
     """A task finished after its declared deadline (counts
     ``n_deadline_misses``).  ``lateness`` is how far past the deadline
-    the completion landed.  Bus-only (``kind=None``)."""
+    the completion landed."""
 
     deadline: float = 0.0
     lateness: float = 0.0
-
-    @property
-    def detail(self) -> str:
-        return f"deadline {self.deadline:g} missed by {self.lateness:g}"
 
 
 @dataclass(frozen=True)
@@ -477,11 +392,6 @@ class BoardDispatch(TelemetryEvent):
 
     config: str = ""
     board: int = 0
-    kind: ClassVar[Optional[str]] = "fpga-board"
-
-    @property
-    def detail(self) -> str:
-        return f"{self.config}@board{self.board}"
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +410,6 @@ class ConfigPortOp(TelemetryEvent):
     frames: int = 0
     mode: str = ""            #: pricing mode ("partial"/"delta"/"full-serial")
     frames_written: int = 0
-
-    @property
-    def detail(self) -> str:
-        return f"{self.op}:{self.handle}"
 
 
 @dataclass(frozen=True)
@@ -582,3 +488,16 @@ def event_type(name: str) -> Type[TelemetryEvent]:
         raise KeyError(
             f"unknown event type {name!r}; have {sorted(_BY_NAME)}"
         ) from None
+
+
+def charge_interval(event: TelemetryEvent) -> Tuple[float, float]:
+    """The simulation interval ``(start, end)`` an event covers.
+
+    A charge event covers ``[time, time + seconds]``; a :class:`Wait`
+    covers ``[time - seconds, time]``, because it is published when the
+    wait ends.  An event without ``seconds`` covers its instant.
+    """
+    seconds = getattr(event, "seconds", 0.0)
+    if isinstance(event, Wait):
+        return event.time - seconds, event.time
+    return event.time, event.time + seconds

@@ -15,9 +15,11 @@
 * :func:`spans_to_csv` — one row per causal span (see
   :mod:`repro.telemetry.spans`), spreadsheet/pandas-ready.
 
-Duration semantics: charge events are published at their *start* instant
-with their ``seconds`` known up front (the simulator charges, then
-yields), so they map directly onto complete ("X") trace events.
+Duration semantics: charge events carry their ``seconds`` and map onto
+complete ("X") trace events placed by
+:func:`~repro.telemetry.events.charge_interval` — from their publish
+instant, except :class:`~repro.telemetry.events.Wait`, which is published
+when the wait ends and so is drawn back from it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import fields as _dataclass_fields
 from typing import Dict, Iterable, List, Optional, TextIO, Union
 
 from .bus import EventBus
-from .events import TelemetryEvent, event_type
+from .events import TelemetryEvent, charge_interval, event_type
 
 __all__ = [
     "to_jsonl", "JsonlExporter", "to_chrome_trace", "DURATION_ATTR",
@@ -160,7 +162,7 @@ def to_chrome_trace(
             "cat": ev.source or "system",
             "pid": 1,
             "tid": tid_of(lane),
-            "ts": ev.time * _US,
+            "ts": charge_interval(ev)[0] * _US,
             "args": {
                 k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in ev.to_record().items()

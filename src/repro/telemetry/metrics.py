@@ -40,6 +40,7 @@ from .events import (
     StateSave,
     TelemetryEvent,
     Wait,
+    charge_interval,
 )
 
 __all__ = [
@@ -287,9 +288,8 @@ class MetricsAggregator:
         self.port_busy_seconds = 0.0
         #: total fabric queueing seconds (sum of Wait charges).
         self.queue_wait_seconds = 0.0
-        #: endpoint deltas of every wait interval: ``Wait`` is published
-        #: at the *end* of the wait (``time``,  with ``seconds`` behind
-        #: it), so each event contributes (+1 @ time-seconds, -1 @ time).
+        #: endpoint deltas of every wait interval (+1 at its start, -1 at
+        #: its end; see :func:`~repro.telemetry.events.charge_interval`).
         #: Kept raw and swept lazily (:meth:`queue_depth_summary`) —
         #: starts arrive out of order relative to already-folded events,
         #: so an online gauge would clamp overlap away; the lazy sweep
@@ -325,10 +325,9 @@ class MetricsAggregator:
             return
         name = type(event).__name__
         self.counts[name] = self.counts.get(name, 0) + 1
-        t = event.time
-        if self.first_time is None:
-            self.first_time = t
-        end = t + getattr(event, "seconds", 0.0)
+        start, end = charge_interval(event)
+        if self.first_time is None or start < self.first_time:
+            self.first_time = start
         if self.last_time is None or end > self.last_time:
             self.last_time = end
         handler = self._handlers.get(type(event))
@@ -361,8 +360,9 @@ class MetricsAggregator:
     def _on_wait(self, e: Wait) -> None:
         self.wait_latency.observe(e.seconds)
         self.queue_wait_seconds += e.seconds
-        self._queue_deltas.append((e.time - e.seconds, 1))
-        self._queue_deltas.append((e.time, -1))
+        start, end = charge_interval(e)
+        self._queue_deltas.append((start, 1))
+        self._queue_deltas.append((end, -1))
 
     def _on_exec(self, e: Exec) -> None:
         self.exec_latency.observe(e.seconds)
@@ -380,7 +380,8 @@ class MetricsAggregator:
     # -- views ---------------------------------------------------------------
     @property
     def elapsed(self) -> float:
-        """The observed simulation window (first event to last charge end)."""
+        """The observed simulation window, from the earliest start to the
+        latest end of any event's :func:`~repro.telemetry.events.charge_interval`."""
         if self.first_time is None or self.last_time is None:
             return 0.0
         return self.last_time - self.first_time

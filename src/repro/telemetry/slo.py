@@ -66,7 +66,6 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from math import ceil
 from typing import (
-    ClassVar,
     Deque,
     Dict,
     Iterable,
@@ -113,7 +112,6 @@ class SloBreach(TelemetryEvent):
     violated objective and ``"warning"`` for a burn-rate alert;
     ``budget_remaining`` is the error-budget fraction left for the
     breached metric at the moment of the breach (negative = overspent).
-    Bus-only (``kind=None``): the legacy trace stays unchanged.
     """
 
     objective: str = ""
@@ -123,10 +121,10 @@ class SloBreach(TelemetryEvent):
     window: float = 0.0
     budget_remaining: float = 1.0
     severity: str = "error"     #: "error" | "warning"
-    kind: ClassVar[Optional[str]] = None
 
     @property
     def detail(self) -> str:
+        """One-line summary, as ``repro slo`` prints it."""
         return (f"{self.objective}: {self.metric} {self.observed:.4g} vs "
                 f"{self.threshold:.4g}")
 

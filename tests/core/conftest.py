@@ -11,6 +11,7 @@ from repro.core import ConfigRegistry
 from repro.device import get_family
 from repro.osim import Kernel, RoundRobin
 from repro.sim import Simulator
+from repro.telemetry import EventBus, EventLog
 
 
 @pytest.fixture
@@ -37,16 +38,20 @@ def registry(arch):
 
 
 class Harness:
-    """One simulated system around a service."""
+    """One simulated system around a service, with its event stream
+    recorded in :attr:`log`."""
 
     def __init__(self, service, scheduler=None, context_switch=0.0):
         self.sim = Simulator()
         self.service = service
+        self.bus = EventBus()
+        self.log = EventLog(self.bus)
         self.kernel = Kernel(
             self.sim,
             scheduler if scheduler is not None else RoundRobin(time_slice=1e-3),
             service,
             context_switch=context_switch,
+            bus=self.bus,
         )
 
     def run(self, tasks):

@@ -7,6 +7,7 @@ from repro.core import ConfigRegistry, VfpgaError
 from repro.core.base import VfpgaServiceBase
 from repro.device import Fpga, get_family
 from repro.osim import FpgaOp, Task
+from repro.telemetry import FpgaComplete, Load
 
 
 class ProbeService(VfpgaServiceBase):
@@ -49,7 +50,7 @@ class TestPortSerialization:
         t1 = Task("t1", [FpgaOp("a", 1)])
         t2 = Task("t2", [FpgaOp("b", 1)])
         h.run([t1, t2])
-        loads = [e for e in h.kernel.trace.events if e.kind == "fpga-load"]
+        loads = h.log.of_type(Load)
         assert len(loads) == 2
         assert loads[1].time >= loads[0].time + svc.fpga.port.load_time(
             partial_registry.get("a").bitstream
@@ -73,10 +74,8 @@ class TestFullSerialSemantics:
         ta = Task("ta", [FpgaOp("a", 2_000_000)])  # 40 ms
         tb = Task("tb", [FpgaOp("b", 1)], arrival=1e-3)
         h.run([ta, tb])
-        a_done = next(e for e in h.kernel.trace.events
-                      if e.kind == "fpga-complete" and e.task == "ta")
-        b_load = next(e for e in h.kernel.trace.events
-                      if e.kind == "fpga-load" and e.task == "tb")
+        a_done = next(e for e in h.log.of_type(FpgaComplete) if e.task == "ta")
+        b_load = next(e for e in h.log.of_type(Load) if e.task == "tb")
         assert b_load.time >= a_done.time - 1e-12
 
     def test_partial_device_does_not_wait(self, partial_registry, harness):
@@ -85,10 +84,8 @@ class TestFullSerialSemantics:
         ta = Task("ta", [FpgaOp("a", 2_000_000)])
         tb = Task("tb", [FpgaOp("b", 1)], arrival=1e-3)
         h.run([ta, tb])
-        a_done = next(e for e in h.kernel.trace.events
-                      if e.kind == "fpga-complete" and e.task == "ta")
-        b_load = next(e for e in h.kernel.trace.events
-                      if e.kind == "fpga-load" and e.task == "tb")
+        a_done = next(e for e in h.log.of_type(FpgaComplete) if e.task == "ta")
+        b_load = next(e for e in h.log.of_type(Load) if e.task == "tb")
         assert b_load.time < a_done.time  # overlapped
 
 

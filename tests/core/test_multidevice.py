@@ -8,6 +8,7 @@ from repro.core import (
     make_service,
 )
 from repro.osim import FpgaOp, Task
+from repro.telemetry import BoardDispatch
 
 CP = 20e-9
 
@@ -75,5 +76,6 @@ class TestPlacement:
         svc = MultiDeviceService(registry, 2)
         h = harness(svc)
         h.run([Task("t", [FpgaOp("a3", 100)])])
-        events = h.kernel.trace.of_kind("fpga-board")
-        assert events and "board" in events[0].detail
+        events = h.log.of_type(BoardDispatch)
+        assert [(e.task, e.config) for e in events] == [("t", "a3")]
+        assert events[0].board in range(len(svc.boards))

@@ -6,6 +6,7 @@ from repro.core import VirtualFpga, make_preemption_policy, make_service
 from repro.core.preemption import SaveRestore
 from repro.netlist import LogicSimulator, counter, parity_tree, ripple_adder
 from repro.osim import FpgaOp, Task, uniform_workload
+from repro.telemetry import EventBus, EventLog, TaskDone
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +62,12 @@ class TestInteractive:
 class TestSimulate:
     def test_runs_and_returns_stats(self, vf):
         tasks = uniform_workload(vf.circuits, 3, 2, 1e-3, 1000, seed=1)
-        stats = vf.simulate(tasks, policy="dynamic")
+        bus = EventBus()
+        log = EventLog(bus)
+        stats = vf.simulate(tasks, policy="dynamic", bus=bus)
         assert stats.n_tasks == 3
         assert vf.last_service.metrics.n_ops == 6
-        assert vf.last_kernel.trace.count("done") == 3
+        assert log.count(TaskDone) == 3
 
     def test_policies_by_name(self, vf):
         for policy, kw in [

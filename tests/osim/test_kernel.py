@@ -17,15 +17,17 @@ from repro.osim import (
     TaskState,
 )
 from repro.sim import Simulator
+from repro.telemetry import Admit, Dispatch, EventBus, EventLog, TaskDone
 
 
-def make_kernel(scheduler=None, service=None, cs=0.0):
+def make_kernel(scheduler=None, service=None, cs=0.0, bus=None):
     sim = Simulator()
     kernel = Kernel(
         sim,
         RoundRobin(time_slice=1.0) if scheduler is None else scheduler,
         NullFpgaService() if service is None else service,
         context_switch=cs,
+        bus=bus,
     )
     return sim, kernel
 
@@ -191,13 +193,25 @@ class TestLifecycle:
             kernel.run()
 
     def test_trace_records_lifecycle(self):
-        sim, kernel = make_kernel()
+        bus = EventBus()
+        log = EventLog(bus)
+        sim, kernel = make_kernel(bus=bus)
         kernel.spawn(Task("t", [CpuBurst(1.0)]))
         kernel.run()
-        kinds = [e.kind for e in kernel.trace.events]
-        assert kinds[0] == "admit"
-        assert "dispatch" in kinds
-        assert kinds[-1] == "done"
+        assert isinstance(log.events[0], Admit)
+        assert log.count(Dispatch) >= 1
+        assert isinstance(log.events[-1], TaskDone)
+
+    def test_kernel_subscribes_nothing(self):
+        """The kernel keeps no event log of its own: a run records only
+        what its caller subscribes."""
+        bus = EventBus()
+        sim, kernel = make_kernel(bus=bus)
+        kernel.spawn_all([Task("a", [CpuBurst(1.0)]),
+                          Task("b", [CpuBurst(2.0)])])
+        kernel.run()
+        assert all(t.state is TaskState.DONE for t in kernel.tasks)
+        assert bus.n_subscribers == 0
 
     def test_stats_require_completion(self):
         sim, kernel = make_kernel()

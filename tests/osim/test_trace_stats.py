@@ -1,25 +1,8 @@
-"""Trace and RunStats unit tests."""
+"""RunStats unit tests."""
 
 import pytest
 
-from repro.osim import CpuBurst, Task, Trace, run_stats
-
-
-class TestTrace:
-    def test_log_and_query(self):
-        tr = Trace()
-        tr.log(1.0, "dispatch", "a")
-        tr.log(2.0, "done", "a")
-        tr.log(3.0, "dispatch", "b", "extra")
-        assert len(tr) == 3
-        assert tr.count("dispatch") == 2
-        assert [e.task for e in tr.of_kind("dispatch")] == ["a", "b"]
-        assert tr.of_kind("dispatch")[1].detail == "extra"
-
-    def test_disabled_trace_records_nothing(self):
-        tr = Trace(enabled=False)
-        tr.log(1.0, "dispatch", "a")
-        assert len(tr) == 0
+from repro.osim import CpuBurst, Task, run_stats
 
 
 def finished_task(name, arrival, completion, **acc):

@@ -1,8 +1,7 @@
-"""EventBus, EventLog ring buffer, Trace ring buffer, make_source."""
+"""EventBus, EventLog ring buffer, make_source."""
 
 import pytest
 
-from repro.osim import Trace
 from repro.telemetry import (
     Dispatch,
     EventBus,
@@ -211,32 +210,3 @@ class TestEventLogRing:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             EventLog(max_events=0)
-
-
-class TestTraceRing:
-    def test_unbounded_default_preserved(self):
-        tr = Trace()
-        for i in range(5):
-            tr.log(float(i), "dispatch", "t")
-        assert len(tr.events) == 5 and tr.dropped == 0
-
-    def test_ring_bound_and_dropped(self):
-        tr = Trace(max_events=4)
-        for i in range(10):
-            tr.log(float(i), "dispatch", f"t{i}")
-        assert len(tr.events) == 4
-        assert tr.dropped == 6
-        assert [e.time for e in tr.events] == [6.0, 7.0, 8.0, 9.0]
-        # queries operate on the retained window
-        assert tr.count("dispatch") == 4
-
-    def test_record_skips_bus_only_events(self):
-        tr = Trace()
-        tr.record(Hit(1.0, "t"))           # kind=None: bus-only
-        tr.record(Load(2.0, "t", handle="x", anchor=(0, 0)))
-        assert [e.kind for e in tr.events] == ["fpga-load"]
-        assert tr.events[0].detail == "x@(0, 0)"
-
-    def test_bad_bound(self):
-        with pytest.raises(ValueError):
-            Trace(max_events=-1)

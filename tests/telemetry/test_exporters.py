@@ -12,6 +12,7 @@ from repro.telemetry import (
     Load,
     PageFault,
     Profiler,
+    Wait,
     event_type,
     to_chrome_trace,
     to_jsonl,
@@ -89,6 +90,13 @@ class TestChromeTrace:
         assert load["ts"] == pytest.approx(0.001 * 1e6)
         fault = by_name["PageFault"]
         assert fault["ph"] == "i" and fault["s"] == "t"
+        # A Wait is published when the wait ends: its span ends there.
+        [wait] = [e for e in to_chrome_trace(
+            [Wait(0.01, "t0", source="Svc#1", seconds=0.004)])["traceEvents"]
+            if e["ph"] != "M"]
+        assert wait["ph"] == "X"
+        assert wait["ts"] == pytest.approx(0.006 * 1e6)
+        assert wait["dur"] == pytest.approx(0.004 * 1e6)
 
     def test_lanes_get_thread_metadata(self):
         doc = to_chrome_trace(SAMPLE)

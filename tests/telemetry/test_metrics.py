@@ -19,6 +19,7 @@ from repro.telemetry import (
     MetricsAggregator,
     Suspend,
     TimeWeightedGauge,
+    Wait,
     aggregate_events,
     log_buckets,
 )
@@ -214,6 +215,15 @@ class TestAggregatorUnits:
         ])
         assert agg.elapsed == pytest.approx(2.0)
         assert agg.port_busy_fraction == pytest.approx(1.0)
+        # A Wait is stamped at its *end*: its seconds lie behind it, so
+        # it must not stretch the window past the run.
+        agg = aggregate_events([
+            FpgaRequest(0.0, "t", source="kernel", config="c", op_id=1),
+            Wait(2.0, "t", source="s", seconds=2.0),
+            FpgaComplete(2.5, "t", source="kernel", config="c", op_id=1),
+        ])
+        assert agg.elapsed == pytest.approx(2.5)
+        assert agg.queue_depth_summary()["queue_depth_mean"] == pytest.approx(0.8)
 
     def test_gauge_integral_under_out_of_order_suspend(self):
         """A Suspend/Dispatch pair arriving out of order must not make

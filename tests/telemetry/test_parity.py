@@ -204,16 +204,6 @@ class TestKernelTelemetryOptions:
         run.run([Task("t", [FpgaOp("a3", 100)])])
         assert run.log.count(SimStep) == 0
 
-    def test_kernel_trace_ring(self, registry, logged):
-        run = logged(DynamicLoadingService(registry), max_trace_events=5)
-        run.run(mixed_tasks())
-        trace = run.kernel.trace
-        assert len(trace.events) == 5
-        assert trace.dropped > 0
-        # Parity is unaffected: metrics fold events as they pass, the
-        # ring only bounds what is *retained*.
-        assert_parity(run)
-
 
 class TestEndToEndExport:
     def test_chrome_trace_of_real_run(self, registry, logged, tmp_path):
