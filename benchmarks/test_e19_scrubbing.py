@@ -14,7 +14,13 @@ with the period (≈ period/2 plus detection latency), while scrub overhead
 falls as 1/period.
 """
 
-from _harness import emit, make_auditor, monotone_nondecreasing, monotone_nonincreasing
+from _harness import (
+    emit,
+    make_auditor,
+    monotone_nondecreasing,
+    monotone_nonincreasing,
+    record_run,
+)
 
 from repro.analysis import format_table, sweep
 from repro.core import ConfigRegistry, Scrubber, UpsetInjector
@@ -66,6 +72,14 @@ def test_e19_scrubbing(benchmark):
     result = benchmark.pedantic(
         lambda: sweep("period_ms", periods, run_point), rounds=1, iterations=1
     )
+    # One deterministic summary row per period (no wall clock), so
+    # ``repro bench-diff`` gates every scrub output against the baseline.
+    for row in result.rows:
+        record_run({
+            "policy": f"scrub:period_ms={row['period_ms']:g}",
+            "scrub": {k: v for k, v in row.items()
+                      if k not in ("period_ms", "outcome")},
+        })
     emit("e19_scrubbing", format_table(
         result.rows,
         title="E19: configuration scrubbing period sweep "

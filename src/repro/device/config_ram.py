@@ -62,9 +62,8 @@ def _bits_to_int(bits: np.ndarray) -> int:
 def digest_bits(bits: np.ndarray) -> bytes:
     """Content digest of one frame row (packed bits, blake2b-128).
 
-    The shared hashing primitive behind the delta-reconfiguration engine
-    (:meth:`ConfigRam.frame_digest`) and the content-addressed bitstream
-    cache (:mod:`repro.core.bitcache`).
+    The shared hashing primitive behind :meth:`ConfigRam.frame_digest`
+    and the content-addressed bitstream cache (:mod:`repro.core.bitcache`).
     """
     packed = np.packbits(np.ascontiguousarray(bits, dtype=np.uint8))
     return hashlib.blake2b(packed.tobytes(), digest_size=16).digest()
@@ -74,11 +73,11 @@ class ConfigRam:
     """The device's static configuration memory.
 
     Tracks write statistics so the timing model can charge exactly what was
-    touched, and a lazy per-frame content digest
-    (:meth:`frame_digest`) so the delta-reconfiguration engine can diff an
-    incoming bitstream against the resident bits without scanning the
-    whole array.  All mutation must go through :meth:`write_frame`,
-    :meth:`flip_bit` or :meth:`clear` so the digests stay coherent.
+    touched, and a lazy per-frame content digest (:meth:`frame_digest`)
+    so callers can price a reload against the resident bits by hash
+    (e.g. the services' ``switch_reload_cost``).  All mutation must go
+    through :meth:`write_frame`, :meth:`flip_bit` or :meth:`clear` so the
+    digests stay coherent.
     """
 
     def __init__(self, arch: Architecture) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict
 
 from .geometry import Rect
@@ -107,16 +108,18 @@ class Architecture:
             raise ValueError("delta_addr_bits must be >= 0")
 
     # -- derived geometry ----------------------------------------------------
-    @property
+    # Fields are frozen, so every derived value below is computed once per
+    # instance; ``scaled()``/``replace()`` build fresh instances.
+    @cached_property
     def n_clbs(self) -> int:
         return self.width * self.height
 
-    @property
+    @cached_property
     def n_pins(self) -> int:
         """Physical pin count — the paper's first physical barrier."""
         return self.io_per_edge * (2 * self.width + 2 * self.height)
 
-    @property
+    @cached_property
     def full_rect(self) -> Rect:
         return Rect(0, 0, self.width, self.height)
 
@@ -125,22 +128,22 @@ class Architecture:
     #: the paper's "up to 250 K gates" era at the top of the range.
     GATES_PER_CLB = 24
 
-    @property
+    @cached_property
     def equivalent_gates(self) -> int:
         return self.n_clbs * self.GATES_PER_CLB
 
     # -- configuration bit layout ---------------------------------------------
-    @property
+    @cached_property
     def input_sel_bits(self) -> int:
         """Bits for one CLB input-pin selector: 4*cw candidates + 'open'."""
         return math.ceil(math.log2(4 * self.channel_width + 1))
 
-    @property
+    @cached_property
     def iob_sel_bits(self) -> int:
         """Bits for one IOB track selector: cw candidates + 'open'."""
         return math.ceil(math.log2(self.channel_width + 1))
 
-    @property
+    @cached_property
     def clb_config_bits(self) -> int:
         """LUT truth + ff_enable + ff_init + out_registered + input
         selectors + output drive mask."""
@@ -151,44 +154,44 @@ class Architecture:
             + 4 * self.channel_width  # output drive mask, one bit per wire
         )
 
-    @property
+    @cached_property
     def switchbox_config_bits(self) -> int:
         """6 programmable pass switches per track, plus 2 long-line taps
         per long index (H-long↔H-right and V-long↔V-above)."""
         return 6 * self.channel_width + 2 * self.long_per_channel
 
-    @property
+    @cached_property
     def iob_config_bits(self) -> int:
         """enable + direction + track selector."""
         return 2 + self.iob_sel_bits
 
-    @property
+    @cached_property
     def n_frames(self) -> int:
         """Frames 0..width-1 hold CLB columns (plus their switchbox
         column); frame ``width`` holds the last switchbox column and all
         IOB configuration."""
         return self.width + 1
 
-    @property
+    @cached_property
     def clb_column_bits(self) -> int:
         return self.height * self.clb_config_bits
 
-    @property
+    @cached_property
     def switchbox_column_bits(self) -> int:
         return (self.height + 1) * self.switchbox_config_bits
 
-    @property
+    @cached_property
     def iob_total_bits(self) -> int:
         return self.n_pins * self.iob_config_bits
 
-    @property
+    @cached_property
     def frame_bits(self) -> int:
         """All frames share the worst-case length (hardware-style padding)."""
         clb_frame = self.clb_column_bits + self.switchbox_column_bits
         last_frame = self.switchbox_column_bits + self.iob_total_bits
         return max(clb_frame, last_frame)
 
-    @property
+    @cached_property
     def total_config_bits(self) -> int:
         return self.n_frames * self.frame_bits
 

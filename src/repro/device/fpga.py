@@ -10,12 +10,12 @@ device when — lives in :mod:`repro.core`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .bitstream import Bitstream, BitstreamError
-from .config_ram import ConfigRam, FrameCodec, digest_bits
+from .config_ram import ConfigRam, FrameCodec
 from .families import Architecture
 from .funcsim import DeviceFunctionalSimulator, Node
 from .geometry import Coord, Rect
@@ -53,32 +53,31 @@ class Fpga:
         #: that owns this device installs it at attach time).
         self.telemetry = None
 
-    # -- masks ---------------------------------------------------------------
-    def _region_mask(self, bs: Bitstream) -> np.ndarray:
-        """Bit mask of everything ``bs`` owns (whole region, used or not).
+    # -- owned bits ---------------------------------------------------------------
+    def _owned(
+        self, bs: Bitstream
+    ) -> Tuple[List[int], Union[slice, List[int]], List[Tuple[int, int]]]:
+        """Where ``bs`` lives in the RAM: ``(frames, rows, ranges)``.
 
-        Owned CLB fields and switch-box fields of the region live entirely
-        in the region's own column frames; dedicated bitstreams also own
-        their IOB fields in the final frame.
+        ``frames`` lists the frames it writes, in order; ``rows`` indexes
+        those frames in a frame array (a slice when they are contiguous,
+        as a region's columns always are); ``ranges`` are the bit ranges
+        it owns in each.  A relocatable region owns two contiguous runs of
+        every one of its column frames: the CLB fields and the switch-box
+        fields of rows ``y .. y2-1``.  Dedicated bitstreams target the
+        whole device (incl. edge switch boxes and IOBs): they own their
+        touched frames whole.
         """
-        a = self.arch
-        mask = np.zeros((a.n_frames, a.frame_bits), dtype=np.uint8)
+        frames = sorted(bs.frames_touched(self.arch))
+        first, end = frames[0], frames[-1] + 1
+        rows = slice(first, end) if end - first == len(frames) else frames
         if not bs.relocatable:
-            # Dedicated bitstreams target the whole device (incl. edge
-            # switch boxes and IOBs): they own every configuration bit.
-            mask[:] = 1
-            return mask
-        r = bs.region
-        for x in r.columns():
-            for y in range(r.y, r.y2):
-                off = self.codec.clb_offset(y)
-                mask[x, off : off + a.clb_config_bits] = 1
-                off = self.codec.switch_offset_in_clb_frame(y)
-                mask[x, off : off + a.switchbox_config_bits] = 1
-        for site in bs.iobs:
-            off = self.codec.iob_offset(site)
-            mask[a.width, off : off + a.iob_config_bits] = 1
-        return mask
+            return frames, rows, [(0, self.arch.frame_bits)]
+        y, y2, c = bs.region.y, bs.region.y2, self.codec
+        return frames, rows, [
+            (c.clb_offset(y), c.clb_offset(y2)),
+            (c.switch_offset_in_clb_frame(y), c.switch_offset_in_clb_frame(y2)),
+        ]
 
     # -- load / unload ----------------------------------------------------------
     @staticmethod
@@ -89,41 +88,33 @@ class Fpga:
             )
 
     def _apply_frames(
-        self, bitstream: Bitstream, new_bits: np.ndarray, mode: str,
+        self, bitstream: Bitstream, new_bits: Optional[np.ndarray], mode: str,
         full_timing: ConfigTimingBreakdown,
     ) -> ConfigTimingBreakdown:
-        """Merge ``new_bits`` into the RAM over ``bitstream``'s owned bits.
+        """Merge ``new_bits`` (``None``: all zero) into the RAM over
+        ``bitstream``'s owned bit ranges.
 
         ``full`` writes every touched frame and charges ``full_timing``.
-        ``delta`` diffs each merged frame against the resident content
-        digest and writes/charges only the differing frames (plus the
-        per-frame address header).  ``auto`` prices both and falls back to
-        the full reload when the delta would cost at least as much —
+        ``delta`` compares the merged frames with the resident ones and
+        writes/charges only the differing frames (plus the per-frame
+        address header).  ``auto`` prices both and falls back to the full
+        reload when the delta would cost at least as much —
         ``changed * (frame_bits + delta_addr_bits) >= touched * frame_bits``.
         Either way the post-condition is identical RAM content.
         """
-        mask = self._region_mask(bitstream)
-        touched = sorted(bitstream.frames_touched(self.arch))
-        use_delta = mode != "full" and self.arch.supports_partial
-        if not use_delta:
-            for fx in touched:
-                merged = (self.ram.frames[fx] & ~mask[fx]) | (new_bits[fx] & mask[fx])
-                self.ram.write_frame(fx, merged)
-            return full_timing
-        pending = []
-        for fx in touched:
-            merged = (self.ram.frames[fx] & ~mask[fx]) | (new_bits[fx] & mask[fx])
-            digest = digest_bits(merged)
-            if digest != self.ram.frame_digest(fx):
-                pending.append((fx, merged, digest))
-        timing = self.port.delta_load_time(bitstream, len(pending))
-        if mode == "auto" and timing.seconds >= full_timing.seconds:
-            for fx in touched:
-                merged = (self.ram.frames[fx] & ~mask[fx]) | (new_bits[fx] & mask[fx])
-                self.ram.write_frame(fx, merged)
-            return full_timing
-        for fx, merged, digest in pending:
-            self.ram.write_frame(fx, merged, digest=digest)
+        frames, rows, ranges = self._owned(bitstream)
+        merged = self.ram.frames[rows].copy()
+        for lo, hi in ranges:
+            merged[:, lo:hi] = 0 if new_bits is None else new_bits[rows, lo:hi]
+        written: Iterable[int] = range(len(frames))
+        timing = full_timing
+        if mode != "full" and self.arch.supports_partial:
+            changed = (merged != self.ram.frames[rows]).any(axis=1).nonzero()[0]
+            delta = self.port.delta_load_time(bitstream, len(changed))
+            if mode == "delta" or delta.seconds < full_timing.seconds:
+                written, timing = changed, delta
+        for i in written:
+            self.ram.write_frame(frames[i], merged[i])
         return timing
 
     def load(
@@ -179,11 +170,8 @@ class Fpga:
             bitstream = self.resident.pop(handle)
         except KeyError:
             raise BitstreamError(f"handle {handle!r} is not resident") from None
-        zeros = np.zeros(
-            (self.arch.n_frames, self.arch.frame_bits), dtype=np.uint8
-        )
         timing = self._apply_frames(
-            bitstream, zeros, mode, self.port.unload_time(bitstream)
+            bitstream, None, mode, self.port.unload_time(bitstream)
         )
         self.port_busy_time += timing.seconds
         self.n_unloads += 1
@@ -243,13 +231,12 @@ class Fpga:
         corrupted: List[str] = []
         for handle, bs in self.resident.items():
             expect = self.codec.build_frames(bs.clbs, bs.switches, bs.iobs)
-            mask = self._region_mask(bs)
-            for fx in sorted(bs.frames_touched(self.arch)):
-                got = self.ram.frames[fx] & mask[fx]
-                want = expect[fx] & mask[fx]
-                if not (got == want).all():
-                    corrupted.append(handle)
-                    break
+            _frames, rows, ranges = self._owned(bs)
+            if any(
+                not np.array_equal(self.ram.frames[rows, lo:hi], expect[rows, lo:hi])
+                for lo, hi in ranges
+            ):
+                corrupted.append(handle)
         return corrupted
 
     def scrub_time(self) -> float:

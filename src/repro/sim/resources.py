@@ -11,6 +11,7 @@ Provides the two constructs the simulated OS needs:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
@@ -39,14 +40,18 @@ class Request(Event):
         self.resource = resource
         self.priority = priority
         self.key = (priority, next(resource._ticket))
-        resource._waiting.append(self)
-        resource._waiting.sort(key=lambda r: r.key)
+        heapq.heappush(resource._waiting, self)
         resource._grant()
+
+    def __lt__(self, other: "Request") -> bool:
+        """Wait-queue heap order: priority, then arrival (keys are unique)."""
+        return self.key < other.key
 
     def cancel(self) -> None:
         """Withdraw an ungranted request (granted requests must release)."""
         if self in self.resource._waiting:
             self.resource._waiting.remove(self)
+            heapq.heapify(self.resource._waiting)
         elif self in self.resource.users:
             raise SimulationError("cancel() on a granted request; use release()")
 
@@ -72,6 +77,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.users: List[Request] = []
+        #: Ungranted requests, a heap on ``Request.key``.
         self._waiting: List[Request] = []
         self._ticket = itertools.count()
 
@@ -99,7 +105,7 @@ class Resource:
 
     def _grant(self) -> None:
         while self._waiting and len(self.users) < self.capacity:
-            req = self._waiting.pop(0)
+            req = heapq.heappop(self._waiting)
             self.users.append(req)
             req.succeed(req)
 

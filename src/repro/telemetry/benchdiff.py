@@ -104,6 +104,13 @@ METRICS: Tuple[Tuple[str, Optional[str]], ...] = (
     ("saturation.stage_share.reconfig", "drift"),
     ("saturation.stage_share.service", "drift"),
     ("saturation.n_breaches", "drift"),
+    # Scrub-period summary records (benchmarks/test_e19_scrubbing.py):
+    # upsets, repairs, exposure and port overhead are seeded simulation
+    # results — deterministic, so any drift means scrubbing changed.
+    ("scrub.upsets_on_circuits", "drift"),
+    ("scrub.repairs", "drift"),
+    ("scrub.mean_exposure_ms", "drift"),
+    ("scrub.scrub_overhead", "drift"),
     # E13d kernel/cache summary records (benchmarks/test_e13_cad_ablation.py):
     # the wall clocks gate on growth like any compile timing; the two
     # win ratios gate on *shrink* — the vectorized speedup and the

@@ -1,10 +1,11 @@
 """Unit tests for architecture parameters and the family catalog."""
 
 import math
+from functools import cached_property
 
 import pytest
 
-from repro.device import FAMILIES, Architecture, get_family
+from repro.device import FAMILIES, Architecture, Rect, get_family
 
 
 class TestValidation:
@@ -76,3 +77,71 @@ class TestCatalog:
         gates = [f.equivalent_gates for f in FAMILIES.values()]
         assert min(gates) < 1000
         assert max(gates) > 20000
+
+
+def layout_formulas(a):
+    """Every derived layout value of ``a``, computed from its fields."""
+    input_sel = math.ceil(math.log2(4 * a.channel_width + 1))
+    iob_sel = math.ceil(math.log2(a.channel_width + 1))
+    clb = (1 << a.k) + 3 + a.k * input_sel + 4 * a.channel_width
+    switchbox = 6 * a.channel_width + 2 * a.long_per_channel
+    n_pins = a.io_per_edge * (2 * a.width + 2 * a.height)
+    clb_column = a.height * clb
+    switchbox_column = (a.height + 1) * switchbox
+    iob_total = n_pins * (2 + iob_sel)
+    frame = max(clb_column + switchbox_column, switchbox_column + iob_total)
+    return {
+        "n_clbs": a.width * a.height,
+        "n_pins": n_pins,
+        "full_rect": Rect(0, 0, a.width, a.height),
+        "equivalent_gates": a.width * a.height * Architecture.GATES_PER_CLB,
+        "input_sel_bits": input_sel,
+        "iob_sel_bits": iob_sel,
+        "clb_config_bits": clb,
+        "switchbox_config_bits": switchbox,
+        "iob_config_bits": 2 + iob_sel,
+        "n_frames": a.width + 1,
+        "clb_column_bits": clb_column,
+        "switchbox_column_bits": switchbox_column,
+        "iob_total_bits": iob_total,
+        "frame_bits": frame,
+        "total_config_bits": (a.width + 1) * frame,
+    }
+
+
+class TestCachedLayout:
+    """The derived layout values are computed once per (frozen) instance."""
+
+    def test_formulas_cover_every_cached_value(self):
+        cached = {
+            name for name, attr in vars(Architecture).items()
+            if isinstance(attr, cached_property)
+        }
+        assert cached == set(layout_formulas(get_family("VF4")))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_cached_values_equal_formulas(self, name):
+        a = FAMILIES[name]
+        for attr, want in layout_formulas(a).items():
+            assert getattr(a, attr) == want, attr
+            assert vars(a)[attr] == want, attr
+
+    def test_scaled_recomputes(self):
+        parent = get_family("VF8")
+        parent_values = {k: getattr(parent, k) for k in layout_formulas(parent)}
+        child = parent.scaled(channel_width=4)
+        assert not set(vars(child)) & set(parent_values)
+        assert {k: getattr(child, k) for k in parent_values} == \
+            layout_formulas(child)
+        assert child.clb_config_bits != parent_values["clb_config_bits"]
+        assert child.frame_bits != parent_values["frame_bits"]
+
+    def test_cached_instance_keeps_equality_and_hash(self):
+        a = Architecture("t", 5, 7, channel_width=6)
+        for attr in layout_formulas(a):
+            getattr(a, attr)
+        fresh = Architecture("t", 5, 7, channel_width=6)
+        assert a == fresh
+        assert hash(a) == hash(fresh)
+        assert a.scaled() == fresh
+        assert a != a.scaled(channel_width=4)

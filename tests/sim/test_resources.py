@@ -1,6 +1,8 @@
 """Unit tests for Resource and Store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Resource, SimulationError, Simulator, Store
 
@@ -115,6 +117,64 @@ class TestResource:
         second.cancel()
         assert res.queue_length == 0
         res.release(first)
+
+    def test_equal_priorities_are_fifo(self, sim):
+        res = Resource(sim, capacity=1)
+        holder = res.request()
+        priorities = (3, 1, 3, 2, 1, 3, 0, 2)
+        waiters = [res.request(priority=p) for p in priorities]
+        granted = []
+        res.release(holder)
+        while res.users:
+            granted.append(res.users[0])
+            res.release(res.users[0])
+        order = sorted(range(len(priorities)), key=lambda i: priorities[i])
+        assert granted == [waiters[i] for i in order]
+
+    def test_cancel_mid_queue_removes_only_that_waiter(self, sim):
+        res = Resource(sim, capacity=1)
+        holder = res.request()
+        waiters = [res.request(priority=p) for p in (0, 0, 2, 1, 0, 2)]
+        waiters[1].cancel()  # second in line
+        assert res.queue_length == 5
+        granted = []
+        res.release(holder)
+        while res.users:
+            granted.append(res.users[0])
+            res.release(res.users[0])
+        assert granted == [waiters[i] for i in (0, 4, 3, 2, 5)]
+        assert not waiters[1].triggered
+
+    @settings(max_examples=60)
+    @given(
+        capacity=st.integers(1, 3),
+        actions=st.lists(
+            st.tuples(
+                # Requests outnumber releases, so the queue runs deep.
+                st.sampled_from(["request"] * 3 + ["release", "cancel"]),
+                st.integers(-2, 9),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_grant_order_matches_sorted_list(self, capacity, actions):
+        """Under random priorities, releases and cancellations, the
+        holders (in grant order) and the queue always match a waiting
+        list that is re-sorted on every request."""
+        res = Resource(Simulator(), capacity=capacity)
+        waiting, users = [], []
+        for kind, arg in actions:
+            if kind == "request":
+                waiting.append(res.request(priority=arg))
+                waiting.sort(key=lambda r: r.key)
+            elif kind == "release" and users:
+                res.release(users.pop(arg % len(users)))
+            elif kind == "cancel" and waiting:
+                waiting.pop(arg % len(waiting)).cancel()
+            while waiting and len(users) < capacity:
+                users.append(waiting.pop(0))
+            assert res.users == users
+            assert res.queue_length == len(waiting)
 
 
 class TestStore:

@@ -509,6 +509,34 @@ class TestBenchDiff:
         assert main(["bench-diff", a, b]) == 0
         assert "below gate floor" in capsys.readouterr().out
 
+    def make_scrub_bench(self, tmp_path, name, repairs):
+        import json
+        doc = {
+            "experiment": "e19_scrubbing",
+            "runs": [{
+                "policy": "scrub:period_ms=2",
+                "scrub": {
+                    "upsets_on_circuits": 58, "repairs": repairs,
+                    "mean_exposure_ms": 10.37, "scrub_overhead": 0.647,
+                },
+            }],
+        }
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_scrub_outputs_gate_exactly_at_zero(self, capsys, tmp_path):
+        """E19's scrub rows are deterministic and gated at 0%: identical
+        artifacts pass, a single extra repair fails."""
+        a = self.make_scrub_bench(tmp_path, "a.json", repairs=48)
+        b = self.make_scrub_bench(tmp_path, "b.json", repairs=48)
+        assert main(["bench-diff", a, b, "--fail-on", "0"]) == 0
+        capsys.readouterr()
+        c = self.make_scrub_bench(tmp_path, "c.json", repairs=49)
+        assert main(["bench-diff", a, c, "--fail-on", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "scrub.repairs" in out and "REGRESSED" in out
+
 
 class TestCompileReport:
     def test_live_report(self, capsys):
