@@ -111,6 +111,12 @@ METRICS: Tuple[Tuple[str, Optional[str]], ...] = (
     ("scrub.repairs", "drift"),
     ("scrub.mean_exposure_ms", "drift"),
     ("scrub.scrub_overhead", "drift"),
+    # Fit-rule churn records (benchmarks/test_e16_fit_policies.py):
+    # failures, failure rate and mean fragmentation are seeded
+    # allocator results — any drift means a split rule changed.
+    ("alloc.failures", "drift"),
+    ("alloc.fail_rate", "drift"),
+    ("alloc.mean_fragmentation", "drift"),
     # E13d kernel/cache summary records (benchmarks/test_e13_cad_ablation.py):
     # the wall clocks gate on growth like any compile timing; the two
     # win ratios gate on *shrink* — the vectorized speedup and the

@@ -537,6 +537,32 @@ class TestBenchDiff:
         out = capsys.readouterr().out
         assert "scrub.repairs" in out and "REGRESSED" in out
 
+    def make_alloc_bench(self, tmp_path, name, failures):
+        import json
+        doc = {
+            "experiment": "e16_fit_policies",
+            "runs": [{
+                "policy": "fit:first",
+                "alloc": {"failures": failures, "fail_rate": 0.1067,
+                          "mean_fragmentation": 0.7281},
+            }],
+        }
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_alloc_outputs_gate_exactly_at_zero(self, capsys, tmp_path):
+        """E16's fit-rule rows are seeded and gated at 0%: identical
+        artifacts pass, a single extra allocation failure fails."""
+        a = self.make_alloc_bench(tmp_path, "a.json", failures=1764)
+        b = self.make_alloc_bench(tmp_path, "b.json", failures=1764)
+        assert main(["bench-diff", a, b, "--fail-on", "0"]) == 0
+        capsys.readouterr()
+        c = self.make_alloc_bench(tmp_path, "c.json", failures=1765)
+        assert main(["bench-diff", a, c, "--fail-on", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "alloc.failures" in out and "REGRESSED" in out
+
 
 class TestCompileReport:
     def test_live_report(self, capsys):
