@@ -89,7 +89,7 @@ def test_e18_placement_strategies(benchmark):
             "makespan_ms": round(stats.makespan * 1e3, 2),
             "loads": service.metrics.n_loads,
             "resident": len(service.residents),
-            "fragmentation": round(service.layout.fragmentation, 3),
+            "fragmentation": round(service.allocator.fragmentation, 3),
         }
 
     result = benchmark.pedantic(

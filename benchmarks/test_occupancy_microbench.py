@@ -3,7 +3,8 @@
 :class:`~repro.core.rect_alloc.RectAllocator` keeps its boolean occupancy
 grid up to date inside ``allocate``/``release`` instead of rebuilding it
 from the resident list on every fragmentation probe (the seed behavior,
-kept as ``_rebuild_occupancy`` for validation).  On large fabrics with
+kept as the ``rebuild_occupancy`` oracle in ``tests/core/reference.py``;
+run from the repo root with ``python -m pytest`` so ``tests`` imports).  On large fabrics with
 many residents the rebuild is O(residents × area) per probe while the
 incremental grid is O(1); this microbenchmark checks the two never
 disagree during heavy churn and quantifies the probe-side win.
@@ -16,6 +17,7 @@ from _harness import emit
 
 from repro.analysis import format_table
 from repro.core import RectAllocator
+from tests.core.reference import rebuild_occupancy
 
 FABRIC = (128, 128)
 N_OPS = 300
@@ -35,10 +37,10 @@ def churn(alloc: RectAllocator, probe) -> int:
         # Interleave releases (every third op) so the resident list churns
         # instead of only growing.
         if i % 3 == 2 and live:
-            (x, y), rw, rh = live.pop(len(live) // 2)
-            alloc.release(x, y, rw, rh)
+            anchor, rw, rh = live.pop(len(live) // 2)
+            alloc.release(anchor, rw, rh)
         grid = probe(alloc)
-        assert np.array_equal(grid, alloc._rebuild_occupancy())
+        assert np.array_equal(grid, rebuild_occupancy(alloc))
         checks += 1
     return checks
 
@@ -46,7 +48,7 @@ def churn(alloc: RectAllocator, probe) -> int:
 def test_occupancy_incremental_matches_rebuild():
     """The incremental grid equals the reference rebuild at every step."""
     alloc = RectAllocator(*FABRIC)
-    checks = churn(alloc, lambda a: a._occupancy())
+    checks = churn(alloc, lambda a: a._grid)
     assert checks == N_OPS
     assert alloc.resident  # the churn actually exercised the ledger
 
@@ -64,16 +66,16 @@ def test_occupancy_microbench(benchmark):
             if anchor is not None:
                 live.append((anchor, w, h))
             if i % 3 == 2 and live:
-                (x, y), rw, rh = live.pop(len(live) // 2)
-                alloc.release(x, y, rw, rh)
+                anchor, rw, rh = live.pop(len(live) // 2)
+                alloc.release(anchor, rw, rh)
             t0 = time.perf_counter()
             probe(alloc)
             probe_s += time.perf_counter() - t0
         return probe_s, len(alloc.resident)
 
     def run():
-        inc_s, n_resident = timed(lambda a: a._occupancy())
-        reb_s, _ = timed(lambda a: a._rebuild_occupancy())
+        inc_s, n_resident = timed(lambda a: a._grid)
+        reb_s, _ = timed(rebuild_occupancy)
         return inc_s, reb_s, n_resident
 
     inc_s, reb_s, n_resident = benchmark.pedantic(

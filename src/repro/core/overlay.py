@@ -25,6 +25,7 @@ from ..sim import Resource
 from ..telemetry import Hit, Load, Miss, OpStart, Placement
 from .base import VfpgaServiceBase
 from .errors import CapacityError
+from .partitioning import choose_slot
 from .policies import ReplacementPolicy, make_replacement
 from .registry import ConfigEntry, ConfigRegistry
 
@@ -40,7 +41,6 @@ class _Slot:
     width: int
     lock: Resource
     resident: Optional[str] = None
-    last_used: float = 0.0
 
 
 class OverlayService(VfpgaServiceBase):
@@ -125,8 +125,8 @@ class OverlayService(VfpgaServiceBase):
 
     # ------------------------------------------------------------------
     def _choose_slot(self, entry: ConfigEntry) -> _Slot:
-        """Affinity → empty idle → replacement victim → shortest queue
-        (mirrors :meth:`FixedPartitionService._choose` over the slots)."""
+        """The fixed-partition slot rule
+        (:func:`~repro.core.partitioning.choose_slot`) over the slots."""
         r = entry.bitstream.region
         fitting = [
             s for s in self._slots
@@ -138,20 +138,7 @@ class OverlayService(VfpgaServiceBase):
                 f"overlay area ({self.overlay_width} cols in "
                 f"{self.overlay_slots} slot(s))"
             )
-        for s in fitting:  # affinity: never reload a resident circuit
-            if s.resident == entry.name:
-                return s
-        idle = [
-            s for s in fitting
-            if s.lock.count == 0 and s.lock.queue_length == 0
-        ]
-        if idle:
-            empty = [s for s in idle if s.resident is None]
-            if empty:
-                return empty[0]
-            victim = self.replacement.victim([s.index for s in idle])
-            return next(s for s in idle if s.index == victim)
-        return min(fitting, key=lambda s: (s.lock.queue_length, s.index))
+        return choose_slot(fitting, entry.name, self.replacement)
 
     def execute(self, task: Task, op: FpgaOp):
         entry = self.registry.get(op.config)
@@ -173,7 +160,6 @@ class OverlayService(VfpgaServiceBase):
         with slot.lock.request() as req:
             yield req
             self._charge_wait(task, t0)
-            slot.last_used = self.sim.now
             self.replacement.on_access(slot.index)
             if slot.resident != op.config:
                 self._publish(Miss, task, handle=op.config)

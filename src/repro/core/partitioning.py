@@ -15,8 +15,10 @@ parallelism.  Both flavours of the paper are implemented:
 
 Partitions are full-height column spans (``Rect(x, 0, w, H)``), matching
 both the frame-per-column configuration hardware of the era and the
-paper's one-dimensional split/merge narrative.  The allocator itself
-(:class:`ColumnAllocator`) is exposed for direct unit testing.
+paper's one-dimensional split/merge narrative; ``layout="rect"`` swaps
+in the 2-D :class:`~repro.core.rect_alloc.RectAllocator`.  Both are
+built with their placement strategy and share one protocol, so the
+service calls its allocator directly.
 """
 
 from __future__ import annotations
@@ -39,13 +41,15 @@ from ..telemetry import (
 from .base import VfpgaServiceBase
 from .errors import CapacityError, VfpgaError
 from .placement import (
-    SPAN_FITS,
+    Anchor,
+    ColumnFirstFit,
     PlacementRequest,
     PlacementStrategy,
     Proposal,
     make_placement,
 )
 from .policies import ReplacementPolicy, make_replacement
+from .rect_alloc import RectAllocator
 from .registry import ConfigEntry, ConfigRegistry
 
 __all__ = [
@@ -56,7 +60,7 @@ __all__ = [
 
 
 class ColumnAllocator:
-    """First/best/worst-fit allocation of column spans.
+    """Strategy-driven allocation of full-height column spans.
 
     Spans are ``(x, w)`` pairs over ``0 .. width``.  With
     ``coalesce=True`` adjacent free spans merge on release; with
@@ -64,13 +68,23 @@ class ColumnAllocator:
     stay distinct idle partitions, exactly the paper's variable
     partitioning, and :meth:`merge_free` is the garbage-collection step
     that fuses them on demand (§4).
+
+    ``placement`` only *chooses* among the free spans; the split
+    bookkeeping lives here.  Heights are accepted for protocol parity
+    with :class:`~repro.core.rect_alloc.RectAllocator` and ignored.
     """
 
-    def __init__(self, width: int, coalesce: bool = True) -> None:
+    def __init__(
+        self,
+        width: int,
+        coalesce: bool = True,
+        placement: Union[str, PlacementStrategy] = "column-first-fit",
+    ) -> None:
         if width < 1:
             raise ValueError("width must be >= 1")
         self.width = width
         self.coalesce = coalesce
+        self.placement = make_placement(placement)
         self.free_spans: List[Tuple[int, int]] = [(0, width)]
         #: The most recent successful placement decision (telemetry).
         self.last_proposal: Optional[Proposal] = None
@@ -90,27 +104,25 @@ class ColumnAllocator:
         total = self.total_free
         return 0.0 if total == 0 else 1.0 - self.largest_free / total
 
+    def has_room(self, w: int, h: int) -> bool:
+        """Whether the free columns add up to ``w``, split or not."""
+        return self.total_free >= w
+
     # -- allocation ------------------------------------------------------------
-    def _strategy(self, fit) -> PlacementStrategy:
-        """Resolve a fit name (``first``/``best``/``worst``) or any
-        :class:`PlacementStrategy` instance to a strategy object."""
-        if isinstance(fit, PlacementStrategy):
-            return fit
-        try:
-            return SPAN_FITS[fit]()
-        except KeyError:
-            raise ValueError(f"unknown fit policy {fit!r}") from None
+    def allocate(
+        self,
+        w: int,
+        h: int,
+        placement: Optional[PlacementStrategy] = None,
+    ) -> Optional[Anchor]:
+        """Reserve ``w`` columns; returns the anchor ``(x, 0)`` or None.
 
-    def allocate(self, w: int, fit="first") -> Optional[int]:
-        """Reserve ``w`` columns; returns the anchor x or None.
-
-        ``fit`` is a seed fit name or a placement-strategy instance; the
-        strategy only *chooses* among the persistent free spans — the
-        split bookkeeping (remainder span, sorted order) lives here.
+        ``placement`` overrides the configured strategy for this call
+        (compaction slides spans first-fit whatever the configured rule).
         """
         if w < 1:
             raise ValueError("width must be >= 1")
-        strategy = self._strategy(fit)
+        strategy = self.placement if placement is None else placement
         proposal = strategy.propose(
             PlacementRequest(
                 w=w, h=1, bounds_w=self.width, bounds_h=1,
@@ -127,7 +139,7 @@ class ColumnAllocator:
             self.free_spans.append((x + w, fw - w))
             self.free_spans.sort()
         self.last_proposal = proposal
-        return x
+        return (x, 0)
 
     def reserve(self, x: int, w: int) -> None:
         """Claim a specific span (used when restoring a known layout)."""
@@ -142,8 +154,9 @@ class ColumnAllocator:
                 return
         raise VfpgaError(f"span ({x},{w}) is not free")
 
-    def release(self, x: int, w: int) -> None:
+    def release(self, anchor: Anchor, w: int, h: int) -> None:
         """Return a span (coalescing with neighbours when enabled)."""
+        x = anchor[0]
         for fx, fw in self.free_spans:
             if x < fx + fw and fx < x + w:
                 raise VfpgaError(f"double free of span ({x},{w})")
@@ -178,7 +191,25 @@ class _Partition:
     rect: Rect
     lock: Resource
     resident: Optional[str] = None
-    last_used: float = 0.0
+
+
+def choose_slot(fitting: Sequence, name: str,
+                replacement: ReplacementPolicy):
+    """The slot rule of fixed partitions and overlay slots, over the
+    ``fitting`` ones: affinity, then an idle empty slot, then the
+    ``replacement`` victim among idle slots, then the shortest queue."""
+    for s in fitting:
+        if s.resident == name:
+            return s
+    idle = [s for s in fitting
+            if s.lock.count == 0 and s.lock.queue_length == 0]
+    if idle:
+        for s in idle:
+            if s.resident is None:
+                return s
+        victim = replacement.victim([s.index for s in idle])
+        return next(s for s in idle if s.index == victim)
+    return min(fitting, key=lambda s: (s.lock.queue_length, s.index))
 
 
 class FixedPartitionService(VfpgaServiceBase):
@@ -250,17 +281,7 @@ class FixedPartitionService(VfpgaServiceBase):
                 f"({entry.bitstream.region.w} cols) fits no partition — the "
                 "task would wait indefinitely (paper §4)"
             )
-        for p in fitting:  # affinity
-            if p.resident == entry.name:
-                return p
-        idle = [p for p in fitting if p.lock.count == 0 and p.lock.queue_length == 0]
-        if idle:
-            empty = [p for p in idle if p.resident is None]
-            if empty:
-                return empty[0]
-            victim = self.replacement.victim([p.index for p in idle])
-            return next(p for p in idle if p.index == victim)
-        return min(fitting, key=lambda p: (p.lock.queue_length, p.index))
+        return choose_slot(fitting, entry.name, self.replacement)
 
     def execute(self, task: Task, op: FpgaOp):
         entry = self.registry.get(op.config)
@@ -270,7 +291,6 @@ class FixedPartitionService(VfpgaServiceBase):
         with part.lock.request() as req:
             yield req
             self._charge_wait(task, t0)
-            part.last_used = self.sim.now
             self.replacement.on_access(part.index)
             handle = f"p{part.index}"
             if part.resident != entry.name:
@@ -291,7 +311,6 @@ class FixedPartitionService(VfpgaServiceBase):
             yield from self._charge_exec(
                 task, entry, self.op_seconds(entry, op), handle=handle
             )
-            part.last_used = self.sim.now
             self.replacement.on_access(part.index)
 
 
@@ -300,9 +319,8 @@ class _Resident:
     """One circuit resident under variable partitioning."""
 
     entry: ConfigEntry
-    anchor: Tuple[int, int]
+    anchor: Anchor
     lock: Resource
-    last_used: float = 0.0
     #: True between operations: the partition is not computing right now.
     idle: bool = True
     #: Tasks holding this partition (hold_mode="task"); empty = cached.
@@ -323,75 +341,6 @@ class _Resident:
     def footprint(self) -> Tuple[int, int]:
         r = self.entry.bitstream.region
         return (r.w, r.h)
-
-
-class _ColumnLayout:
-    """Column-span allocation behind the 2-D anchor protocol."""
-
-    def __init__(self, width: int) -> None:
-        self.cols = ColumnAllocator(width, coalesce=False)
-
-    def allocate(self, w, h, fit):
-        x = self.cols.allocate(w, fit=fit)
-        return None if x is None else (x, 0)
-
-    def release(self, anchor, w, h):
-        self.cols.release(anchor[0], w)
-
-    def merge_free(self) -> int:
-        return self.cols.merge_free()
-
-    def free_units(self) -> float:
-        return self.cols.total_free
-
-    @staticmethod
-    def demand_units(w: int, h: int) -> float:
-        return w  # columns are the unit
-
-    @property
-    def last_proposal(self) -> Optional[Proposal]:
-        return self.cols.last_proposal
-
-    @property
-    def fragmentation(self) -> float:
-        return self.cols.fragmentation
-
-
-class _RectLayout:
-    """2-D strategy-driven allocation behind the same protocol."""
-
-    def __init__(self, width: int, height: int,
-                 placement="bottom-left") -> None:
-        from .rect_alloc import RectAllocator
-
-        self.rects = RectAllocator(width, height, placement=placement)
-
-    def allocate(self, w, h, fit):
-        # Seed fit names are a column-layout concept; only an explicit
-        # strategy overrides the allocator's configured placement.
-        override = fit if isinstance(fit, PlacementStrategy) else None
-        return self.rects.allocate(w, h, placement=override)
-
-    def release(self, anchor, w, h):
-        self.rects.release(anchor[0], anchor[1], w, h)
-
-    def merge_free(self) -> int:
-        return self.rects.merge_free()
-
-    def free_units(self) -> float:
-        return self.rects.total_free
-
-    @staticmethod
-    def demand_units(w: int, h: int) -> float:
-        return w * h  # CLBs are the unit
-
-    @property
-    def last_proposal(self) -> Optional[Proposal]:
-        return self.rects.last_proposal
-
-    @property
-    def fragmentation(self) -> float:
-        return self.rects.fragmentation
 
 
 class VariablePartitionService(VfpgaServiceBase):
@@ -428,7 +377,6 @@ class VariablePartitionService(VfpgaServiceBase):
     def __init__(
         self,
         registry: ConfigRegistry,
-        fit: str = "first",
         gc: str = "compact",
         hold_mode: str = "task",
         layout: str = "columns",
@@ -444,42 +392,24 @@ class VariablePartitionService(VfpgaServiceBase):
             raise ValueError(f"unknown hold_mode {hold_mode!r}")
         if layout not in ("columns", "rect"):
             raise ValueError(f"unknown layout {layout!r}")
-        self.fit = fit
         self.gc = gc
         self.hold_mode = hold_mode
-        self.layout_name = layout
+        self.layout = layout
         self.replacement = make_replacement(replacement,
                                             seed=replacement_seed)
-        #: Explicit strategy override; None defers to the layout default
-        #: (the seed ``fit`` names for columns, bottom-left for rect).
-        self.placement = (
-            None if placement is None else make_placement(placement)
-        )
         arch = self.fpga.arch
-        self.layout = (
-            _ColumnLayout(arch.width) if layout == "columns"
-            else _RectLayout(arch.width, arch.height,
-                             placement=self.placement or "bottom-left")
+        # ``placement=None`` keeps the allocator's own default strategy.
+        kw = {} if placement is None else {"placement": placement}
+        self.allocator = (
+            ColumnAllocator(arch.width, coalesce=False, **kw)
+            if layout == "columns"
+            else RectAllocator(arch.width, arch.height, **kw)
         )
+        self.placement = self.allocator.placement
         self.residents: Dict[str, _Resident] = {}
         self._space_waiters: List = []
         #: allocation failed although total free space was sufficient.
         self.starvation_events = 0
-
-    @property
-    def _fit_arg(self):
-        """What :meth:`_ColumnLayout.allocate` et al. place with: the
-        explicit strategy when configured, else the seed fit name."""
-        return self.placement if self.placement is not None else self.fit
-
-    @property
-    def allocator(self):
-        """The underlying allocator (ColumnAllocator or RectAllocator)."""
-        return (
-            self.layout.cols
-            if isinstance(self.layout, _ColumnLayout)
-            else self.layout.rects
-        )
 
     # -- space bookkeeping ----------------------------------------------------
     def _notify_space(self) -> None:
@@ -506,7 +436,7 @@ class VariablePartitionService(VfpgaServiceBase):
         res = self.residents.pop(name)
         self.replacement.on_remove(name)
         yield from self._charge_unload(task, name)
-        self.layout.release(res.anchor, *res.footprint)
+        self.allocator.release(res.anchor, *res.footprint)
         self._notify_space()
 
     def _choose_victim(self) -> Optional[_Resident]:
@@ -520,16 +450,16 @@ class VariablePartitionService(VfpgaServiceBase):
         return next(r for r in evictable if r.entry.name == name)
 
     def _try_place(self, task: Task, entry: ConfigEntry):
-        """One placement attempt; returns the anchor x or None (generator:
+        """One placement attempt; returns the anchor or None (generator:
         may charge eviction/compaction time)."""
         r = entry.bitstream.region
         w, h = r.w, r.h
-        anchor = self.layout.allocate(w, h, self._fit_arg)
+        anchor = self.allocator.allocate(w, h)
         if anchor is not None:
             return anchor
         # Phase 1: merge adjacent free spans (cheap GC bookkeeping).
-        if self.gc != "none" and self.layout.merge_free():
-            anchor = self.layout.allocate(w, h, self._fit_arg)
+        if self.gc != "none" and self.allocator.merge_free():
+            anchor = self.allocator.allocate(w, h)
             if anchor is not None:
                 return anchor
         # Phase 2: evict cached (unheld) circuits, replacement-policy
@@ -542,23 +472,22 @@ class VariablePartitionService(VfpgaServiceBase):
                 break
             yield from self._evict(task, victim.entry.name)
             if self.gc != "none":
-                self.layout.merge_free()
-            anchor = self.layout.allocate(w, h, self._fit_arg)
+                self.allocator.merge_free()
+            anchor = self.allocator.allocate(w, h)
             if anchor is not None:
                 return anchor
-        demand = self.layout.demand_units(w, h)
         if self.gc in ("none", "merge"):
-            if self.layout.free_units() >= demand:
+            if self.allocator.has_room(w, h):
                 self.starvation_events += 1
             return None
-        if self.layout.free_units() < demand:
+        if not self.allocator.has_room(w, h):
             return None
         # Phase 3: compaction — relocate idle circuits (held ones too)
         # toward the origin; the only remedy when held partitions shatter
         # the array.
         yield from self._compact(task)
-        self.layout.merge_free()
-        return self.layout.allocate(w, h, self._fit_arg)
+        self.allocator.merge_free()
+        return self.allocator.allocate(w, h)
 
     def _compact(self, task: Optional[Task]):
         """Slide idle resident circuits toward x = 0 (paper §4 relocation).
@@ -568,7 +497,10 @@ class VariablePartitionService(VfpgaServiceBase):
         """
         self._publish(Compact, task)
         moved = 0
-        self.layout.merge_free()
+        # Columns slide first-fit whatever rule placed them; 2-D layouts
+        # re-place with the configured strategy.
+        slide = ColumnFirstFit() if self.layout == "columns" else None
+        self.allocator.merge_free()
         movable = sorted(
             (r for r in self.residents.values() if self._is_movable(r)),
             key=lambda r: (r.anchor[1], r.anchor[0]),
@@ -584,9 +516,9 @@ class VariablePartitionService(VfpgaServiceBase):
                 continue
             try:
                 w, h = res.footprint
-                self.layout.release(res.anchor, w, h)
-                self.layout.merge_free()
-                new_anchor = self.layout.allocate(w, h, "first")
+                self.allocator.release(res.anchor, w, h)
+                self.allocator.merge_free()
+                new_anchor = self.allocator.allocate(w, h, placement=slide)
                 assert new_anchor is not None  # we just released that much
                 if new_anchor == res.anchor:
                     continue
@@ -638,25 +570,24 @@ class VariablePartitionService(VfpgaServiceBase):
 
     def _undo_place(self, task, name, anchor) -> None:
         r = self.registry.get(name).bitstream.region
-        self.layout.release(anchor, r.w, r.h)
+        self.allocator.release(anchor, r.w, r.h)
 
     def _load_unit(self, task, name, anchor):
         # Plain hook (no generator): the download is deferred — it
         # happens under the residency lock so late-comers wait for it.
         entry = self.registry.get(name)
         self._publish(Miss, task, handle=name)
-        proposal = self.layout.last_proposal
+        proposal = self.allocator.last_proposal
         self._publish(
-            Placement, task, strategy=self.strategy_name, handle=name,
+            Placement, task, strategy=self.placement.name, handle=name,
             anchor=tuple(anchor),
             candidates=proposal.candidates if proposal is not None else 1,
-            fragmentation=self.layout.fragmentation,
+            fragmentation=self.allocator.fragmentation,
         )
         res = _Resident(
             entry=entry,
             anchor=anchor,
             lock=Resource(self.sim, capacity=1),
-            last_used=self.sim.now,
             idle=False,
             pending_load=True,
         )
@@ -670,15 +601,6 @@ class VariablePartitionService(VfpgaServiceBase):
         self._space_waiters.append(ev)
         self._publish(Suspend, task, config=name)
         yield ev
-
-    @property
-    def strategy_name(self) -> str:
-        """The effective placement strategy's registry name."""
-        if self.placement is not None:
-            return self.placement.name
-        if self.layout_name == "rect":
-            return "bottom-left"
-        return SPAN_FITS[self.fit].name
 
     # -- main entry ------------------------------------------------------------------
     def execute(self, task: Task, op: FpgaOp):
@@ -701,7 +623,6 @@ class VariablePartitionService(VfpgaServiceBase):
             yield req
             self._charge_wait(task, t0)
             res.idle = False
-            res.last_used = self.sim.now
             self.replacement.on_access(entry.name)
             if res.pending_load:
                 res.pending_load = False
@@ -709,7 +630,6 @@ class VariablePartitionService(VfpgaServiceBase):
             task.current_config = op.config
             yield from self._charge_io(task, entry, op)
             yield from self._charge_exec(task, entry, self.op_seconds(entry, op))
-            res.last_used = self.sim.now
             self.replacement.on_access(entry.name)
             res.idle = True
         self._notify_space()

@@ -5,10 +5,10 @@ segmentation as one family of *mapping* mechanisms; what varies between
 them is bookkeeping, not the placement question itself.  This module
 factors that question out: a :class:`PlacementStrategy` proposes an
 anchor for a ``w``×``h`` request given a geometric snapshot of the
-device (:class:`PlacementRequest`), and the stateful allocators
+device (:class:`PlacementRequest`).  The stateful allocators
 (:class:`~repro.core.partitioning.ColumnAllocator`,
-:class:`~repro.core.rect_alloc.RectAllocator`) become thin wrappers that
-commit whatever the strategy proposes.
+:class:`~repro.core.rect_alloc.RectAllocator`) are each built with one
+strategy, commit whatever it proposes and keep the ledger.
 
 Strategies never mutate anything: ``propose`` is a pure function of the
 request, which makes them trivially testable (property tests sweep
@@ -18,12 +18,11 @@ random resident sets) and swappable mid-experiment.  Two families:
   heuristic the seed ``RectAllocator`` used), :class:`BestFitPlacement`
   (min-waste by contact scoring), :class:`SkylinePlacement` (the
   strip-packing skyline of Angermeier et al., "Maintaining Virtual
-  Areas on FPGAs using Strip Packing with Delays") and
-  :class:`ColumnFirstFitPlacement` (1-D columns emulated on a 2-D
-  fabric, for like-for-like sweeps);
+  Areas on FPGAs using Strip Packing with Delays");
 * **column spans** — :class:`ColumnFirstFit`, :class:`ColumnBestFit`,
-  :class:`ColumnWorstFit`, matching the seed allocator's
-  ``fit="first"/"best"/"worst"`` exactly.
+  :class:`ColumnWorstFit`: the classic first/best/worst-fit split rules,
+  which on a 2-D fabric place on runs of entirely free columns (1-D
+  columns emulated on 2-D, for like-for-like sweeps).
 
 When a request carries explicit ``free_spans`` (column layouts with
 persistent split boundaries, paper §4), every strategy restricts itself
@@ -48,7 +47,6 @@ __all__ = [
     "BottomLeftPlacement",
     "BestFitPlacement",
     "SkylinePlacement",
-    "ColumnFirstFitPlacement",
     "ColumnFirstFit",
     "ColumnBestFit",
     "ColumnWorstFit",
@@ -189,7 +187,7 @@ class BestFitPlacement(PlacementStrategy):
     """Min-waste placement: among fitting corner candidates, maximize the
     perimeter in contact with residents or the region boundary (the
     classic best-fit-by-contact rule of rectangle packing); on column
-    spans, the tightest span wins (the seed ``fit="best"``)."""
+    spans, the tightest span wins, as with :class:`ColumnBestFit`."""
 
     name = "best-fit"
 
@@ -253,36 +251,12 @@ class SkylinePlacement(PlacementStrategy):
         return Proposal(anchor=best[3], candidates=candidates)
 
 
-class ColumnFirstFitPlacement(PlacementStrategy):
-    """1-D column discipline on any fabric: the leftmost run of entirely
-    free columns wide enough, anchored at the bottom — what the paper's
-    frame-per-column hardware forced, usable on 2-D allocators for
-    like-for-like sweeps."""
+class ColumnFirstFit(PlacementStrategy):
+    """Leftmost fitting run of entirely free columns, anchored at the
+    bottom — the discipline the paper's frame-per-column hardware
+    forced.  Subclasses change only which fitting span wins."""
 
     name = "column-first-fit"
-
-    def _choose_anchor(self, req: PlacementRequest) -> Optional[Proposal]:
-        spans = [(x, fw) for (x, fw) in free_column_spans(req)
-                 if fw >= req.w]
-        if not spans:
-            return None
-        return Proposal(anchor=(spans[0][0], 0), candidates=len(spans))
-
-
-class ColumnFirstFit(ColumnFirstFitPlacement):
-    """Leftmost fitting free span (the seed ``fit="first"``)."""
-
-    name = "column-first-fit"
-
-
-class ColumnBestFit(ColumnFirstFitPlacement):
-    """Tightest fitting free span (the seed ``fit="best"``)."""
-
-    name = "column-best-fit"
-
-    def _choose_span(self, spans: Sequence[Span]) -> int:
-        x, _fw = min(spans, key=lambda s: (s[1], s[0]))
-        return x
 
     def _choose_anchor(self, req: PlacementRequest) -> Optional[Proposal]:
         spans = [(x, fw) for (x, fw) in free_column_spans(req)
@@ -293,9 +267,19 @@ class ColumnBestFit(ColumnFirstFitPlacement):
                         candidates=len(spans))
 
 
-class ColumnWorstFit(ColumnBestFit):
-    """Largest free span (the seed ``fit="worst"``) — the control arm
-    that shatters big holes (experiment E16)."""
+class ColumnBestFit(ColumnFirstFit):
+    """Tightest fitting free span."""
+
+    name = "column-best-fit"
+
+    def _choose_span(self, spans: Sequence[Span]) -> int:
+        x, _fw = min(spans, key=lambda s: (s[1], s[0]))
+        return x
+
+
+class ColumnWorstFit(ColumnFirstFit):
+    """Largest free span — the control arm that shatters big holes
+    (experiment E16)."""
 
     name = "column-worst-fit"
 
@@ -315,13 +299,6 @@ PLACEMENT_STRATEGIES: Dict[str, Type[PlacementStrategy]] = {
         ColumnBestFit,
         ColumnWorstFit,
     )
-}
-
-#: The seed ``ColumnAllocator`` fit names, mapped onto strategies.
-SPAN_FITS: Dict[str, Type[PlacementStrategy]] = {
-    "first": ColumnFirstFit,
-    "best": ColumnBestFit,
-    "worst": ColumnWorstFit,
 }
 
 

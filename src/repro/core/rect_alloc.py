@@ -6,12 +6,13 @@ FPGA virtualization allocates rectangular 2-D zones instead; this module
 provides that alternative so experiment E18 can quantify what the second
 dimension buys.
 
-:class:`RectAllocator` is a thin stateful wrapper over the pluggable
+:class:`RectAllocator` is built with a strategy from the pluggable
 :mod:`placement engine <repro.core.placement>`: the strategy proposes an
 anchor (bottom-left by default — the classic heuristic this allocator
 originally hard-coded), the allocator commits it and keeps the resident
-ledger plus an **incrementally maintained** occupancy grid.  The
-fragmentation gauge finds the largest empty rectangle by dynamic
+ledger plus an **incrementally maintained** occupancy grid, behind the
+same protocol as :class:`~repro.core.partitioning.ColumnAllocator`.
+The fragmentation gauge finds the largest empty rectangle by dynamic
 programming over that grid; because the grid is updated in place on
 allocate/release instead of rebuilt from the resident list on every
 query, repeated fragmentation probes on large fabrics are cheap
@@ -27,6 +28,7 @@ import numpy as np
 from ..device import Rect
 from .errors import VfpgaError
 from .placement import (
+    Anchor,
     PlacementRequest,
     PlacementStrategy,
     Proposal,
@@ -66,21 +68,9 @@ class RectAllocator:
         """Free CLB count."""
         return self.width * self.height - sum(r.area for r in self.resident)
 
-    def _occupancy(self) -> np.ndarray:
-        """The incrementally maintained occupancy grid (do not mutate)."""
-        return self._grid
-
-    def _rebuild_occupancy(self) -> np.ndarray:
-        """Reference implementation: grid from scratch off the resident
-        list.  Kept for validation and the occupancy microbenchmark."""
-        grid = np.zeros((self.width, self.height), dtype=bool)
-        for r in self.resident:
-            grid[r.x:r.x2, r.y:r.y2] = True
-        return grid
-
     def largest_free_rect(self) -> Tuple[int, int]:
         """(w, h) of the largest empty rectangle (0, 0) if full."""
-        grid = self._occupancy()
+        grid = self._grid
         best = 0
         best_wh = (0, 0)
         # Row sweep with histogram-of-heights (largest rectangle in a
@@ -110,6 +100,10 @@ class RectAllocator:
         w, h = self.largest_free_rect()
         return 1.0 - (w * h) / free
 
+    def has_room(self, w: int, h: int) -> bool:
+        """Whether the free CLBs add up to ``w`` × ``h``, shattered or not."""
+        return self.total_free >= w * h
+
     def can_fit_somewhere(self, w: int, h: int) -> bool:
         lw, lh = self.largest_free_rect()
         return lw >= w and lh >= h
@@ -129,11 +123,10 @@ class RectAllocator:
         w: int,
         h: int,
         placement: Optional[PlacementStrategy] = None,
-    ) -> Optional[Tuple[int, int]]:
+    ) -> Optional[Anchor]:
         """Reserve a ``w`` × ``h`` rectangle; returns its anchor or None.
 
-        ``placement`` overrides the configured strategy for this call
-        (compaction uses this to slide residents with a specific rule).
+        ``placement`` overrides the configured strategy for this call.
         """
         if w < 1 or h < 1:
             raise ValueError("degenerate request")
@@ -164,8 +157,8 @@ class RectAllocator:
             raise VfpgaError(f"rect {rect} is not free")
         self._commit(rect)
 
-    def release(self, x: int, y: int, w: int, h: int) -> None:
-        rect = Rect(x, y, w, h)
+    def release(self, anchor: Anchor, w: int, h: int) -> None:
+        rect = Rect(anchor[0], anchor[1], w, h)
         try:
             self.resident.remove(rect)
         except ValueError:

@@ -28,7 +28,7 @@ from ..sim import Resource
 from .base import VfpgaServiceBase
 from .errors import CapacityError, UnknownConfigError
 from ..telemetry import OpStart, PageAccess, Placement, SegmentFault
-from .placement import PlacementStrategy, make_placement
+from .placement import PlacementStrategy
 from .policies import ReplacementPolicy, access_trace, make_replacement
 from .partitioning import ColumnAllocator
 from .registry import ConfigRegistry
@@ -152,9 +152,8 @@ class SegmentedVfpgaService(VfpgaServiceBase):
                     )
         self.replacement = make_replacement(replacement,
                                             seed=replacement_seed)
-        self.placement = make_placement(placement)
         self.cycles_per_access = cycles_per_access
-        self.allocator = ColumnAllocator(arch.width)
+        self.allocator = ColumnAllocator(arch.width, placement=placement)
         #: segment name -> anchor x (the segment table).
         self.segment_table: Dict[str, int] = {}
         self._pins: Dict[str, int] = {}
@@ -197,12 +196,11 @@ class SegmentedVfpgaService(VfpgaServiceBase):
     def _place_unit(self, task, seg):
         """A column span for the segment, evicting unpinned residents by
         replacement-policy order until the strategy finds a fit."""
-        entry = self.registry.get(seg)
-        w = entry.bitstream.region.w
+        r = self.registry.get(seg).bitstream.region
         while True:
-            x = self.allocator.allocate(w, fit=self.placement)
-            if x is not None:
-                return x
+            anchor = self.allocator.allocate(r.w, r.h)
+            if anchor is not None:
+                return anchor[0]
             unpinned = [
                 s for s in self.segment_table if s not in self._pins
             ]
@@ -211,13 +209,13 @@ class SegmentedVfpgaService(VfpgaServiceBase):
             victim = self.replacement.victim(unpinned)
             vx = self.segment_table.pop(victim)
             self.replacement.on_remove(victim)
-            ventry = self.registry.get(victim)
+            vr = self.registry.get(victim).bitstream.region
             yield from self._charge_unload(task, victim)
-            self.allocator.release(vx, ventry.bitstream.region.w)
+            self.allocator.release((vx, 0), vr.w, vr.h)
 
     def _undo_place(self, task, seg, x) -> None:
-        entry = self.registry.get(seg)
-        self.allocator.release(x, entry.bitstream.region.w)
+        r = self.registry.get(seg).bitstream.region
+        self.allocator.release((x, 0), r.w, r.h)
 
     def _load_unit(self, task, seg, x):
         self.segment_table[seg] = x
@@ -225,8 +223,8 @@ class SegmentedVfpgaService(VfpgaServiceBase):
         entry = self.registry.get(seg)
         proposal = self.allocator.last_proposal
         self._publish(
-            Placement, task, strategy=self.placement.name, handle=seg,
-            anchor=(x, 0),
+            Placement, task, strategy=self.allocator.placement.name,
+            handle=seg, anchor=(x, 0),
             candidates=proposal.candidates if proposal is not None else 1,
             fragmentation=self.allocator.fragmentation,
         )

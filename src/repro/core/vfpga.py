@@ -65,7 +65,7 @@ def make_service(policy: str, registry: ConfigRegistry, **kw):
     Names: ``merged``, ``software``, ``nonpreemptable``, ``dynamic``
     (kw: ``preemption``, ``fpga_time_slice``, ``fabric_sched``),
     ``fixed`` (kw: ``partition_widths`` or ``n_partitions``,
-    ``replacement``), ``variable`` (kw: ``fit``, ``gc``, ``layout``,
+    ``replacement``), ``variable`` (kw: ``gc``, ``hold_mode``, ``layout``,
     ``placement``, ``replacement``), ``overlay`` (kw: ``resident_names``,
     ``replacement``, ``overlay_slots``), ``paged`` (kw: ``circuits``,
     ``frame_width``, ``replacement``), ``segmented`` (kw: ``circuits``,

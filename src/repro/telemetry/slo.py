@@ -14,11 +14,12 @@ SLO engine
 percentile bound (``p99 <= 5 ms``), a deadline-miss-rate ceiling, an
 availability floor — scoped by ``task``/``source`` glob selectors and
 evaluated over a rolling simulation-time ``window`` (0 = cumulative).
-:class:`SloEngine` subscribes to the bus, pairs every
-:class:`~repro.telemetry.events.FpgaRequest`/:class:`FpgaComplete` into
-a completed-operation latency attributed to the *serving source* (the
-first service that published for the task while the operation was open
-— multi-board streams keep tenants separable), folds
+:class:`SloEngine` subscribes to the bus and folds every closed causal
+span (:mod:`repro.telemetry.spans`) into a completed-operation latency
+attributed to the *serving source* — the span's first recorded source,
+the same rule :class:`QueueingDecomposition` uses, so on a multi-board
+stream each operation counts for the board that served it, not the
+dispatcher that routed it — folds
 :class:`~repro.telemetry.events.DeadlineMiss`/:class:`TaskDone` into a
 miss rate, and republishes a typed :class:`SloBreach` event whenever an
 objective crosses from met to violated (latched: one breach per
@@ -79,7 +80,6 @@ from .bus import EventBus
 from .events import (
     ConfigPortOp,
     DeadlineMiss,
-    FpgaComplete,
     FpgaRequest,
     SchedDecision,
     TaskDone,
@@ -283,29 +283,25 @@ class SloEngine:
     bus:
         Subscribe immediately when given; breaches are published back
         onto the same bus.
-    kernel_sources:
-        Source strings that never count as a *serving* source when
-        attributing operations (default ``("kernel",)``).
     """
 
     def __init__(
         self,
         objectives: Iterable[SloObjective],
         bus: Optional[EventBus] = None,
-        kernel_sources: Tuple[str, ...] = ("kernel",),
     ) -> None:
         self.objectives: Tuple[SloObjective, ...] = tuple(objectives)
         names = [o.name for o in self.objectives]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names in {names}")
         self.bus = bus
-        self.kernel_sources = kernel_sources
         self.breaches: List[SloBreach] = []
         self._states: Dict[str, _ObjectiveState] = {
             o.name: _ObjectiveState() for o in self.objectives
         }
-        #: task -> [request time, op_id, serving source] of the open op.
-        self._open: Dict[str, List[object]] = {}
+        #: Pairs requests with completions and records serving sources;
+        #: each closed span is folded, then dropped.
+        self._spans = SpanBuilder()
         self.n_events = 0
         self.last_time: Optional[float] = None
         self._finished = False
@@ -325,20 +321,16 @@ class SloEngine:
             else max(self.last_time, event.time)
         if cls is FpgaRequest:
             self._on_request(event)          # type: ignore[arg-type]
-        elif cls is FpgaComplete:
-            self._on_complete(event)         # type: ignore[arg-type]
         elif cls is TaskDone:
             self._on_task_done(event)
         elif cls is DeadlineMiss:
             self._on_deadline_miss(event)
-        elif event.task and event.source and \
-                event.source not in self.kernel_sources:
-            open_op = self._open.get(event.task)
-            if open_op is not None and not open_op[2]:
-                open_op[2] = event.source
+        self._spans(event)
+        closed = self._spans.spans
+        if closed:
+            self._on_span(closed.pop())
 
     def _on_request(self, e: FpgaRequest) -> None:
-        self._open[e.task] = [e.time, e.op_id, ""]
         for obj in self.objectives:
             # Requests are counted against the *task* selector only: the
             # serving source is unknown until the service answers, and an
@@ -346,14 +338,13 @@ class SloEngine:
             if fnmatchcase(e.task, obj.task):
                 self._states[obj.name].requests += 1
 
-    def _on_complete(self, e: FpgaComplete) -> None:
-        open_op = self._open.pop(e.task, None)
-        if open_op is None:
-            return
-        start, _op_id, source = open_op
-        latency = e.time - float(start)  # type: ignore[arg-type]
+    def _on_span(self, span: Span) -> None:
+        """One completed operation, credited to its serving source."""
+        source = span.sources[0] if span.sources else ""
+        latency = span.duration
+        now = float(span.end)  # type: ignore[arg-type]
         for obj in self.objectives:
-            if not obj.matches(e.task, str(source)):
+            if not obj.matches(span.task, source):
                 continue
             st = self._states[obj.name]
             st.completions += 1
@@ -363,14 +354,14 @@ class SloEngine:
             bad = latency > obj.latency
             if bad:
                 st.bad_latency += 1
-            st.window_lat.append((e.time, latency))
+            st.window_lat.append((now, latency))
             insort(st.window_sorted, latency)
-            self._prune_latencies(obj, st, e.time)
-            self._judge_latency(obj, st, e.time)
+            self._prune_latencies(obj, st, now)
+            self._judge_latency(obj, st, now)
             if obj.burn_factor > 0 and obj.window > 0:
-                st.burn_long.append((e.time, 1 if bad else 0))
-                st.burn_short.append((e.time, 1 if bad else 0))
-                self._judge_burn(obj, st, e.time)
+                st.burn_long.append((now, 1 if bad else 0))
+                st.burn_short.append((now, 1 if bad else 0))
+                self._judge_burn(obj, st, now)
 
     def _on_task_done(self, e: TelemetryEvent) -> None:
         for obj in self.objectives:
@@ -578,7 +569,8 @@ class SloEngine:
             "n_events": self.n_events,
             "last_time": self.last_time,
             "finished": self._finished,
-            "open": {k: list(v) for k, v in sorted(self._open.items())},
+            "open": {task: [span.start, span.op_id, list(span.sources)]
+                     for task, span in sorted(self._spans.open_spans.items())},
             "states": {name: st.snapshot()
                        for name, st in sorted(self._states.items())},
             "breaches": [b.to_record() for b in self.breaches],

@@ -2,81 +2,96 @@
 
 import pytest
 
-from repro.core import ColumnAllocator, VfpgaError
+from repro.core import ColumnAllocator, VfpgaError, make_placement
 
 
 class TestAllocate:
     def test_first_fit_takes_leftmost(self):
         a = ColumnAllocator(12)
-        assert a.allocate(4) == 0
-        assert a.allocate(4) == 4
+        assert a.allocate(4, 1) == (0, 0)
+        assert a.allocate(4, 1) == (4, 0)
         assert a.total_free == 4
 
     def test_best_fit_minimizes_leftover(self):
-        a = ColumnAllocator(12, coalesce=False)
-        a.reserve(0, 3)   # free: (3,9)
-        a.release(0, 3)   # free spans: (0,3) and (3,9) — unmerged
-        assert a.allocate(3, fit="best") == 0  # exact fit preferred
+        a = ColumnAllocator(12, coalesce=False, placement="column-best-fit")
+        a.reserve(0, 3)          # free: (3,9)
+        a.release((0, 0), 3, 1)  # free spans: (0,3) and (3,9) — unmerged
+        assert a.allocate(3, 1) == (0, 0)  # exact fit preferred
 
     def test_worst_fit_takes_largest(self):
-        a = ColumnAllocator(12, coalesce=False)
+        a = ColumnAllocator(12, coalesce=False, placement="column-worst-fit")
         a.reserve(0, 3)
-        a.release(0, 3)
-        assert a.allocate(2, fit="worst") == 3
+        a.release((0, 0), 3, 1)
+        assert a.allocate(2, 1) == (3, 0)
+
+    def test_height_is_ignored(self):
+        """Spans are full height: any requested height places alike."""
+        a = ColumnAllocator(12)
+        assert a.allocate(4, 99) == (0, 0)
+        a.release((0, 0), 4, 7)
+        assert a.free_spans == [(0, 12)]
 
     def test_no_fit_returns_none(self):
         a = ColumnAllocator(4)
-        assert a.allocate(5) is None
+        assert a.allocate(5, 1) is None
 
     def test_bad_fit_name(self):
-        with pytest.raises(ValueError):
-            ColumnAllocator(4).allocate(1, fit="psychic")
+        """An unknown split rule is rejected when the allocator is built."""
+        with pytest.raises(ValueError, match="unknown placement"):
+            ColumnAllocator(4, placement="psychic")
 
     def test_exhaustion(self):
         a = ColumnAllocator(6)
-        a.allocate(6)
-        assert a.allocate(1) is None
+        a.allocate(6, 1)
+        assert a.allocate(1, 1) is None
         assert a.total_free == 0
+
+    def test_has_room_counts_split_columns(self):
+        a = ColumnAllocator(10, coalesce=False)
+        a.reserve(4, 2)          # free spans: (0,4) and (6,4)
+        assert a.has_room(8, 1)  # 8 free columns in total ...
+        assert a.allocate(8, 1) is None  # ... but no single span of 8
+        assert not a.has_room(9, 1)
 
 
 class TestReleaseAndMerge:
     def test_coalescing_release(self):
         a = ColumnAllocator(10)  # coalesce=True
-        x1, x2 = a.allocate(5), a.allocate(5)
-        a.release(x1, 5)
-        a.release(x2, 5)
+        a1, a2 = a.allocate(5, 1), a.allocate(5, 1)
+        a.release(a1, 5, 1)
+        a.release(a2, 5, 1)
         assert a.free_spans == [(0, 10)]
 
     def test_non_coalescing_keeps_boundaries(self):
         a = ColumnAllocator(10, coalesce=False)
-        x1, x2 = a.allocate(5), a.allocate(5)
-        a.release(x1, 5)
-        a.release(x2, 5)
+        a1, a2 = a.allocate(5, 1), a.allocate(5, 1)
+        a.release(a1, 5, 1)
+        a.release(a2, 5, 1)
         assert a.free_spans == [(0, 5), (5, 5)]
         assert a.largest_free == 5
         # The paper's hazard: 10 columns free, an 8-wide request starves.
-        assert a.allocate(8) is None
+        assert a.allocate(8, 1) is None
 
     def test_merge_free_fuses(self):
         a = ColumnAllocator(10, coalesce=False)
-        x1, x2 = a.allocate(5), a.allocate(5)
-        a.release(x1, 5)
-        a.release(x2, 5)
+        a1, a2 = a.allocate(5, 1), a.allocate(5, 1)
+        a.release(a1, 5, 1)
+        a.release(a2, 5, 1)
         assert a.merge_free() == 1
-        assert a.allocate(8) == 0
+        assert a.allocate(8, 1) == (0, 0)
 
     def test_double_free_rejected(self):
         a = ColumnAllocator(10)
-        x = a.allocate(4)
-        a.release(x, 4)
+        anchor = a.allocate(4, 1)
+        a.release(anchor, 4, 1)
         with pytest.raises(VfpgaError, match="double free"):
-            a.release(x, 4)
+            a.release(anchor, 4, 1)
 
     def test_overlapping_free_rejected(self):
         a = ColumnAllocator(10)
-        a.allocate(4)
+        a.allocate(4, 1)
         with pytest.raises(VfpgaError):
-            a.release(2, 4)  # overlaps the free tail
+            a.release((2, 0), 4, 1)  # overlaps the free tail
 
 
 class TestReserve:
@@ -98,16 +113,16 @@ class TestFragmentationGauge:
 
     def test_grows_when_shattered(self):
         a = ColumnAllocator(12, coalesce=False)
-        xs = [a.allocate(2) for _ in range(6)]
-        for x in xs[::2]:
-            a.release(x, 2)
+        anchors = [a.allocate(2, 1) for _ in range(6)]
+        for anchor in anchors[::2]:
+            a.release(anchor, 2, 1)
         assert a.total_free == 6
         assert a.largest_free == 2
         assert a.fragmentation == pytest.approx(1 - 2 / 6)
 
     def test_full_device_zero(self):
         a = ColumnAllocator(4)
-        a.allocate(4)
+        a.allocate(4, 1)
         assert a.fragmentation == 0.0
 
 
@@ -116,17 +131,19 @@ class TestInvariants:
         import random
 
         rng = random.Random(42)
+        rules = [make_placement(f"column-{fit}-fit")
+                 for fit in ("first", "best", "worst")]
         a = ColumnAllocator(32, coalesce=False)
         held = []
         for _ in range(500):
             if held and rng.random() < 0.5:
                 x, w = held.pop(rng.randrange(len(held)))
-                a.release(x, w)
+                a.release((x, 0), w, 1)
             else:
                 w = rng.randint(1, 6)
-                x = a.allocate(w, fit=rng.choice(["first", "best", "worst"]))
-                if x is not None:
-                    held.append((x, w))
+                anchor = a.allocate(w, 1, placement=rng.choice(rules))
+                if anchor is not None:
+                    held.append((anchor[0], w))
             if rng.random() < 0.1:
                 a.merge_free()
             # Invariants: no overlap, conservation of columns.

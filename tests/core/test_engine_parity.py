@@ -138,7 +138,7 @@ CASES = [
                      replacement_seed=0)),
     ("variable",
      contended_build(hold_mode="op"),
-     contended_build(hold_mode="op", fit="first", replacement="lru",
+     contended_build(hold_mode="op", replacement="lru",
                      placement="column-first-fit")),
     ("variable",
      contended_build(hold_mode="op", layout="rect"),

@@ -4,10 +4,12 @@ import pytest
 
 from repro.core import (
     CapacityError,
+    ConfigRegistry,
     FixedPartitionService,
     VariablePartitionService,
 )
 from repro.osim import CpuBurst, DeadlockError, FpgaOp, Task
+from repro.telemetry import Placement, Relocate
 
 CP = 20e-9
 
@@ -148,6 +150,34 @@ class TestVariablePartitions:
         # c4 survived the move and was reused without a reload.
         assert "c4" in svc.fpga.resident
 
+    @pytest.mark.parametrize("rule", ["column-first-fit", "column-best-fit",
+                                      "column-worst-fit"])
+    def test_compaction_slides_first_fit_whatever_the_rule(self, arch,
+                                                           harness, rule):
+        """Compaction slides each idle circuit into the leftmost span
+        that holds it, whichever rule places new circuits: worst-fit
+        would push ``p2`` right, into the larger hole past ``q2``."""
+        reg = ConfigRegistry(arch)
+        for name, w in [("z1", 1), ("p2", 2), ("q2", 2), ("w8", 8)]:
+            reg.register_synthetic(name, w, arch.height, critical_path=CP)
+        svc = VariablePartitionService(reg, gc="compact", placement=rule)
+        h = harness(svc)
+
+        def held(name, arrival):
+            return Task(f"t_{name}", [FpgaOp(name, 10), CpuBurst(0.2),
+                                      FpgaOp(name, 10)], arrival=arrival)
+
+        # z1 | p2 | q2 | 7 free columns; evicting the cached z1 leaves
+        # holes of 1 and 7 columns around the held p2 and q2.
+        h.run([Task("t_z1", [FpgaOp("z1", 10)]), held("p2", 1e-3),
+               held("q2", 2e-3), Task("t_w8", [FpgaOp("w8", 10)],
+                                      arrival=2e-2)])
+        moves = [(e.handle, e.anchor) for e in h.log.events
+                 if isinstance(e, Relocate)]
+        assert moves == [("p2", (0, 0)), ("q2", (2, 0))]
+        assert [e.anchor for e in h.log.events if isinstance(e, Placement)
+                and e.handle == "w8"] == [(4, 0)]
+
     def test_relocation_preserves_residency(self, registry, harness):
         svc = VariablePartitionService(registry, gc="compact")
         h = harness(svc)
@@ -176,6 +206,11 @@ class TestVariablePartitions:
     def test_fit_policy_validation(self, registry):
         with pytest.raises(ValueError):
             VariablePartitionService(registry, gc="teleport")
+        # The split rule is a placement strategy; there is no fit knob.
+        with pytest.raises(TypeError):
+            VariablePartitionService(registry, fit="first")
+        with pytest.raises(ValueError, match="unknown placement"):
+            VariablePartitionService(registry, placement="psychic")
 
     def test_starvation_counter_requires_sufficient_total(self, registry, harness):
         svc = VariablePartitionService(registry, gc="none")

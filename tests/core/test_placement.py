@@ -25,6 +25,7 @@ from repro.core import (
 )
 from repro.core.errors import VfpgaError
 from repro.device import Rect
+from tests.core.reference import rebuild_occupancy
 
 BOUNDS_W, BOUNDS_H = 16, 12
 
@@ -116,7 +117,7 @@ class TestStrategyContract:
 
 class TestSpanMode:
     """With explicit free_spans, strategies degenerate to span selection
-    matching the seed fit="first"/"best"/"worst" rules exactly."""
+    by the classic first/best/worst-fit rules."""
 
     SPANS = ((0, 2), (4, 5), (10, 3))
 
@@ -230,5 +231,4 @@ class TestRectAllocatorEngine:
         for i, a in enumerate(alloc.resident):
             for b in alloc.resident[i + 1:]:
                 assert not a.overlaps(b)
-        assert np.array_equal(alloc._occupancy(),
-                              alloc._rebuild_occupancy())
+        assert np.array_equal(alloc._grid, rebuild_occupancy(alloc))

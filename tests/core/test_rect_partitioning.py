@@ -23,7 +23,7 @@ class TestRectAllocator:
         for _ in range(200):
             if placed and rng.random() < 0.4:
                 anchor, w, h = placed.pop(rng.randrange(len(placed)))
-                a.release(anchor[0], anchor[1], w, h)
+                a.release(anchor, w, h)
             else:
                 w, h = rng.randint(1, 5), rng.randint(1, 5)
                 anchor = a.allocate(w, h)
@@ -54,13 +54,20 @@ class TestRectAllocator:
     def test_release_validation(self):
         a = RectAllocator(4, 4)
         with pytest.raises(VfpgaError):
-            a.release(0, 0, 2, 2)
+            a.release((0, 0), 2, 2)
 
     def test_reserve_conflict(self):
         a = RectAllocator(4, 4)
         a.reserve(0, 0, 3, 3)
         with pytest.raises(VfpgaError):
             a.reserve(1, 1, 2, 2)
+
+    def test_has_room_counts_shattered_clbs(self):
+        a = RectAllocator(6, 6)
+        a.reserve(2, 0, 2, 6)      # a wall splits two 2x6 halves
+        assert a.has_room(4, 6)    # 24 free CLBs in total ...
+        assert a.allocate(4, 6) is None  # ... but no 4x6 hole
+        assert not a.has_room(5, 5)
 
     def test_can_fit_somewhere(self):
         a = RectAllocator(6, 6)
@@ -121,6 +128,43 @@ class TestRectLayoutService:
         wide = Task("wide", [FpgaOp("wide", 10)], arrival=2e-2)
         stats = h.run(holders + [mid, wide])
         assert stats.n_tasks == 5
+
+    @pytest.mark.parametrize("placement,moves", [
+        ("bottom-left", [("b", (4, 0))]),
+        ("skyline", [("a", (4, 0)), ("b", (0, 0))]),
+    ])
+    def test_compaction_replaces_with_configured_strategy(
+        self, arch, harness, placement, moves
+    ):
+        """2-D compaction re-places each idle circuit with the configured
+        strategy: bottom-left slides ``b`` down beside ``a``, skyline
+        drops ``a`` onto the empty floor first (a full-column rule would
+        move ``a`` too)."""
+        from repro.core import ConfigRegistry
+        from repro.telemetry import Placement, Relocate
+
+        reg = ConfigRegistry(arch)
+        for name, w, h in [("a", 4, 4), ("b", 4, 4), ("c", 8, 4),
+                           ("wide", 12, 8)]:
+            reg.register_synthetic(name, w, h, critical_path=20e-9)
+        svc = VariablePartitionService(reg, layout="rect", gc="compact",
+                                       placement=placement)
+        run = harness(svc)
+
+        def held(name, arrival):
+            return Task(f"t_{name}", [FpgaOp(name, 10), CpuBurst(0.1),
+                                      FpgaOp(name, 10)], arrival=arrival)
+
+        # a at (0,0), c at (4,0), b on top of a at (0,4); once the cached
+        # c is evicted, 112 CLBs are free but no 12x8 hole.
+        run.run([held("a", 0.0), Task("t_c", [FpgaOp("c", 10)],
+                                      arrival=1e-3),
+                 held("b", 2e-3), Task("t_wide", [FpgaOp("wide", 10)],
+                                       arrival=2e-2)])
+        assert [(e.handle, e.anchor) for e in run.log.events
+                if isinstance(e, Relocate)] == moves
+        assert [e.anchor for e in run.log.events if isinstance(e, Placement)
+                and e.handle == "wide"] == [(0, 4)]
 
     def test_device_residency_matches_anchor_table(self, rect_registry, harness):
         svc = VariablePartitionService(rect_registry, layout="rect")

@@ -5,7 +5,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ColumnAllocator, access_trace, make_replacement
+from repro.core import (
+    ColumnAllocator,
+    access_trace,
+    make_placement,
+    make_replacement,
+)
+
+#: The three classic split rules, as placement strategies.
+SPLIT_RULES = ["column-first-fit", "column-best-fit", "column-worst-fit"]
 
 
 class TestAllocatorInvariants:
@@ -13,7 +21,7 @@ class TestAllocatorInvariants:
         st.lists(
             st.one_of(
                 st.tuples(st.just("alloc"), st.integers(1, 6),
-                          st.sampled_from(["first", "best", "worst"])),
+                          st.sampled_from(SPLIT_RULES)),
                 st.tuples(st.just("free"), st.integers(0, 100)),
                 st.tuples(st.just("merge"), st.just(0)),
             ),
@@ -28,12 +36,13 @@ class TestAllocatorInvariants:
         held = []
         for op in ops:
             if op[0] == "alloc":
-                x = alloc.allocate(op[1], fit=op[2])
-                if x is not None:
-                    held.append((x, op[1]))
+                anchor = alloc.allocate(op[1], 1,
+                                        placement=make_placement(op[2]))
+                if anchor is not None:
+                    held.append((anchor[0], op[1]))
             elif op[0] == "free" and held:
                 x, w = held.pop(op[1] % len(held))
-                alloc.release(x, w)
+                alloc.release((x, 0), w, 1)
             elif op[0] == "merge":
                 alloc.merge_free()
             # Invariant 1: columns are conserved.
@@ -51,22 +60,23 @@ class TestAllocatorInvariants:
         alloc = ColumnAllocator(32, coalesce=False)
         held = []
         for w in widths:
-            x = alloc.allocate(w)
-            if x is not None:
-                held.append((x, w))
-        for x, w in held:
-            alloc.release(x, w)
+            anchor = alloc.allocate(w, 1)
+            if anchor is not None:
+                held.append((anchor, w))
+        for anchor, w in held:
+            alloc.release(anchor, w, 1)
         alloc.merge_free()
         assert alloc.free_spans == [(0, 32)]
         assert alloc.fragmentation == 0.0
 
-    @given(st.integers(1, 24), st.sampled_from(["first", "best", "worst"]))
+    @given(st.integers(1, 24), st.sampled_from(SPLIT_RULES))
     def test_allocation_result_is_free_and_fits(self, w, fit):
-        alloc = ColumnAllocator(24, coalesce=False)
+        alloc = ColumnAllocator(24, coalesce=False, placement=fit)
         alloc.reserve(3, 4)
         alloc.reserve(10, 2)
-        x = alloc.allocate(w, fit=fit)
-        if x is not None:
+        anchor = alloc.allocate(w, 1)
+        if anchor is not None:
+            x = anchor[0]
             assert 0 <= x and x + w <= 24
             for rx, rw in [(3, 4), (10, 2)]:
                 assert x + w <= rx or rx + rw <= x

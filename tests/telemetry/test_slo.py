@@ -326,6 +326,30 @@ class TestPolicyParityAndInertness:
             engine.snapshot()
 
 
+class TestServingSource:
+    def test_multi_board_objectives_see_every_op(self, logged):
+        """Under ``multi`` an op counts for the board that served it, not
+        for the dispatcher that routed it: one objective per board sees
+        every op between them, split as the stage decomposition splits
+        them."""
+        registry, tasks, kw = contended_build(n_devices=2)()
+        service = make_service("multi", registry, **kw)
+        engine = SloEngine([
+            SloObjective(name=f"board{i}", latency=1.0, source=board.source)
+            for i, board in enumerate(service.boards)
+        ])
+        run = logged(service, subscribe=lambda bus: bus.subscribe_all(engine))
+        run.run(tasks)
+        samples = [row["samples"] for row in engine.status()]
+        n_ops = sum(isinstance(e, FpgaRequest) for e in run.log.events)
+        assert n_ops == 24
+        assert sum(samples) == n_ops
+        assert all(samples)
+        decomp = decompose_events(run.log.events)
+        assert samples == [decomp.per_source[board.source].ops
+                           for board in service.boards]
+
+
 class TestQueueingDecomposition:
     def run_decomposed(self, logged):
         registry, tasks, kw = contended_build()()
