@@ -9,18 +9,10 @@ the compile path itself: a :class:`CompileCache` memoises
 *netlist content digest* plus everything else that determines the
 result — device family, region, seed, effort, router iteration cap —
 so recompiling a circuit family is a dictionary lookup instead of a
-map→pack→place→route→bitgen walk.
-
-Three stage caches ride along for *partial* hits when only downstream
-knobs change:
-
-* ``pack``  — keyed ``(digest, k)``: a new seed/region/effort reuses
-  technology mapping + packing;
-* ``place`` — keyed downstream of ``pack`` plus ``(region, seed,
-  effort)``: a new router iteration cap reuses the placement;
-* ``route`` — keyed downstream of ``place`` plus ``(family, mode,
-  cap)``: stores the routing graph with the routed trees, so a hit
-  skips RRG construction too.
+map→pack→place→route→bitgen walk.  A compile consults it once before
+any phase runs and stores once after bitgen; there are no per-stage
+caches, since no caller recompiles a circuit with only a downstream
+knob changed.
 
 Every lookup is published as a typed
 :class:`~repro.cad.instrument.CadCacheLookup` event when the flow runs
@@ -73,27 +65,18 @@ def netlist_digest(netlist: Netlist) -> str:
 
 
 class CompileCache:
-    """Memoises compile results end-to-end and per stage.
+    """Memoises compile results end-to-end.
 
     One instance is typically shared by everything compiling against one
     device (each :class:`~repro.core.registry.ConfigRegistry` owns one,
     next to its ``bitcache``); an instance is also safely shareable
-    across families, since every key carries the family parameters that
-    matter to its stage.
+    across families, since every key carries the family name.
     """
-
-    #: Stage names with partial-hit caches, in flow order.
-    STAGES = ("pack", "place", "route")
 
     def __init__(self) -> None:
         self._results: Dict[CacheKey, "CompileResult"] = {}
-        self._stages: Dict[str, Dict[CacheKey, object]] = {
-            name: {} for name in self.STAGES
-        }
         self.hits = 0
         self.misses = 0
-        self.stage_hits: Dict[str, int] = {name: 0 for name in self.STAGES}
-        self.stage_misses: Dict[str, int] = {name: 0 for name in self.STAGES}
         #: Configuration bytes served from end-to-end hits (the frames a
         #: fresh compile would have had to regenerate).
         self.bytes_served = 0
@@ -148,25 +131,6 @@ class CompileCache:
         )
         self._results[key] = replace(result, profile=None)
 
-    # -- stages ------------------------------------------------------------
-    def lookup_stage(
-        self, stage: str, key: CacheKey,
-        instrument: Optional["CadInstrumentation"] = None,
-    ) -> Optional[object]:
-        value = self._stages[stage].get(key)
-        if value is not None:
-            self.stage_hits[stage] += 1
-        else:
-            self.stage_misses[stage] += 1
-        if instrument is not None:
-            instrument.cache_lookup(
-                stage, "hit" if value is not None else "miss", key[0]
-            )
-        return value
-
-    def store_stage(self, stage: str, key: CacheKey, value: object) -> None:
-        self._stages[stage][key] = value
-
     # -- reporting ---------------------------------------------------------
     def __len__(self) -> int:
         return len(self._results)
@@ -178,7 +142,5 @@ class CompileCache:
             "entries": len(self._results),
             "hits": self.hits,
             "misses": self.misses,
-            "stage_hits": dict(self.stage_hits),
-            "stage_misses": dict(self.stage_misses),
             "bytes_served": self.bytes_served,
         }

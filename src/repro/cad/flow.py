@@ -194,10 +194,18 @@ def compile_netlist(
     Auto-region retries accumulate into the same instrument, so the
     profile records the *whole* compile including discarded attempts.
 
+    Without a ``region`` a relocatable compile is auto-sized: the flow
+    maps and packs once, then places and routes in
+    :func:`minimal_region` at utilization 0.5, 0.33 and 0.22 (a region
+    equal to the one before it is skipped, and the full device ends the
+    list) until one routes; only the last ``RoutingError`` escapes.
+
     ``cache`` (a :class:`~repro.cad.cache.CompileCache`) memoises the
-    flow end-to-end by netlist content digest plus per-stage (pack on
-    digest alone, place/route keyed downstream); hits return without
-    re-running the skipped phases, and every lookup is published as a
+    flow end-to-end: one lookup before any phase runs, keyed by netlist
+    content digest plus every flow option (an auto-sized compile keys on
+    ``("auto", shape)``, not on the region it settled in), and one store
+    after bitgen.  A hit returns the stored result with the current
+    run's profile, and every lookup is published as a
     :class:`~repro.cad.instrument.CadCacheLookup` event when
     instrumented.  Cached results are shared — callers must treat them
     as read-only, exactly like the frame images the
@@ -214,59 +222,20 @@ def compile_netlist(
     """
     if mode not in ("relocatable", "dedicated"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "relocatable" and region is None:
-        flow_key = None
-        if cache is not None:
-            flow_key = cache.flow_key(
-                netlist_digest(netlist), arch, mode=mode,
-                region_token=("auto", shape), seed=seed, effort=effort,
-                max_route_iterations=max_route_iterations,
-            )
-            hit = cache.lookup_result(flow_key, instrument=instrument)
-            if hit is not None:
-                return replace(
-                    hit,
-                    profile=instrument.profile() if instrument is not None
-                    else None,
-                )
-        # Auto-sized regions: retry with progressively roomier regions when
-        # routing congestion does not resolve (standard relax-and-retry).
-        last_exc: Optional[RoutingError] = None
-        for utilization in (0.5, 0.33, 0.22):
-            mapped = technology_map(netlist, arch.k)
-            design = pack(mapped, arch.k)
-            io_count = len(design.inputs) + len(design.outputs)
-            auto = minimal_region(design.n_clbs, io_count, arch,
-                                  utilization=utilization, shape=shape)
-            try:
-                result = compile_netlist(
-                    netlist, arch, region=auto, mode=mode, seed=seed,
-                    effort=effort, max_route_iterations=max_route_iterations,
-                    shape=shape, instrument=instrument, cache=cache,
-                )
-                if cache is not None and flow_key is not None:
-                    cache.store_result(flow_key, result, arch)
-                return result
-            except RoutingError as exc:
-                last_exc = exc
-                if auto == arch.full_rect:
-                    break
-        raise last_exc  # even the roomiest region failed
     if mode == "dedicated" and region is not None and region != arch.full_rect:
         raise ValueError("dedicated mode always targets the full device")
 
-    digest = ""
     flow_key = None
     if cache is not None:
-        digest = netlist_digest(netlist)
         region_token: Tuple = (
             _rect_token(arch.full_rect) if mode == "dedicated"
             else _rect_token(region) if region is not None
             else ("auto", shape)
         )
         flow_key = cache.flow_key(
-            digest, arch, mode=mode, region_token=region_token, seed=seed,
-            effort=effort, max_route_iterations=max_route_iterations,
+            netlist_digest(netlist), arch, mode=mode,
+            region_token=region_token, seed=seed, effort=effort,
+            max_route_iterations=max_route_iterations,
         )
         hit = cache.lookup_result(flow_key, instrument=instrument)
         if hit is not None:
@@ -276,29 +245,76 @@ def compile_netlist(
                 else None,
             )
 
-    pack_key = (digest, arch.k)
-    design = (cache.lookup_stage("pack", pack_key, instrument=instrument)
-              if cache is not None else None)
-    if design is None:
-        with _phase(instrument, "techmap", size=len(netlist.cells)) as ph:
-            mapped = technology_map(netlist, arch.k)
-            ph.size = len(mapped.cells)
-        with _phase(instrument, "pack", size=len(mapped.cells)) as ph:
-            design = pack(mapped, arch.k)
-            ph.size = design.n_clbs
-        if cache is not None:
-            cache.store_stage("pack", pack_key, design)
-    io_count = len(design.inputs) + len(design.outputs)
+    with _phase(instrument, "techmap", size=len(netlist.cells)) as ph:
+        mapped = technology_map(netlist, arch.k)
+        ph.size = len(mapped.cells)
+    with _phase(instrument, "pack", size=len(mapped.cells)) as ph:
+        design = pack(mapped, arch.k)
+        ph.size = design.n_clbs
 
     if mode == "dedicated":
-        region = arch.full_rect
+        regions = [arch.full_rect]
+    elif region is not None:
+        regions = [region]
+    else:
+        regions = _auto_regions(design, arch, shape)
+    for attempt, candidate in enumerate(regions, 1):
+        try:
+            result = _compile_in(
+                candidate, netlist, arch, mode, design, seed=seed,
+                effort=effort, max_route_iterations=max_route_iterations,
+                instrument=instrument,
+            )
+        except RoutingError:
+            if attempt == len(regions):
+                raise  # even the roomiest region failed
+            continue
+        break
+    if cache is not None and flow_key is not None:
+        cache.store_result(flow_key, result, arch)
+    return result
+
+
+def _auto_regions(design: PackedDesign, arch: Architecture,
+                  shape: str) -> List[Rect]:
+    """Candidate regions of an auto-sized compile, roomier each time
+    (standard relax-and-retry on routing congestion): the minimal region
+    at utilization 0.5, 0.33 and 0.22, ending at the full device.  A
+    candidate equal to the one before it is dropped: placement and
+    routing are deterministic, so it would fail the same way again."""
+    io_count = len(design.inputs) + len(design.outputs)
+    regions: List[Rect] = []
+    for utilization in (0.5, 0.33, 0.22):
+        region = minimal_region(design.n_clbs, io_count, arch,
+                                utilization=utilization, shape=shape)
+        if not regions or region != regions[-1]:
+            regions.append(region)
+        if region == arch.full_rect:
+            break
+    return regions
+
+
+def _compile_in(
+    region: Rect,
+    netlist: Netlist,
+    arch: Architecture,
+    mode: str,
+    design: PackedDesign,
+    *,
+    seed: int,
+    effort: str,
+    max_route_iterations: int,
+    instrument: Optional[CadInstrumentation],
+) -> CompileResult:
+    """The flow after packing, in one region: place, bind I/O, route,
+    analyze timing and generate the bitstream."""
+    io_count = len(design.inputs) + len(design.outputs)
+    if mode == "dedicated":
         if io_count > arch.n_pins:
             raise PinCapacityError(
                 f"{netlist.name!r} needs {io_count} pins, device has {arch.n_pins}"
             )
     else:
-        if region is None:
-            region = minimal_region(design.n_clbs, io_count, arch, shape=shape)
         capacity = virtual_pin_capacity(arch, region)
         if io_count > capacity:
             raise PinCapacityError(
@@ -306,16 +322,10 @@ def compile_netlist(
                 f"{region} offers {capacity}"
             )
 
-    place_key = pack_key + (_rect_token(region), seed, effort)
-    placement = (cache.lookup_stage("place", place_key, instrument=instrument)
-                 if cache is not None else None)
-    if placement is None:
-        with _phase(instrument, "place", size=design.n_clbs) as ph:
-            placement = place(design, region, seed=seed, effort=effort,
-                              instrument=instrument)
-            ph.size = design.n_clbs
-        if cache is not None:
-            cache.store_stage("place", place_key, placement)
+    with _phase(instrument, "place", size=design.n_clbs) as ph:
+        placement = place(design, region, seed=seed, effort=effort,
+                          instrument=instrument)
+        ph.size = design.n_clbs
 
     # -- I/O binding ---------------------------------------------------------
     virtual_inputs: Dict[str, Wire] = {}
@@ -364,40 +374,28 @@ def compile_netlist(
         else:
             specs[src].sinks.append(("pad", pad_outputs[port]))
 
-    route_key = place_key + (arch.name, mode, max_route_iterations)
-    cached_route = (
-        cache.lookup_stage("route", route_key, instrument=instrument)
-        if cache is not None else None
-    )
-    if cached_route is not None:
-        # Graph and routes are deterministic for this key; reusing them
-        # skips the rrg + route phases entirely.
-        graph, routed = cached_route
-    else:
-        with _phase(instrument, "rrg") as ph:
-            graph = RoutingGraph(
-                arch,
-                region=None if mode == "dedicated" else region,
-                include_pads=(mode == "dedicated"),
-            )
-            ph.size = len(graph)
-        # Virtual-pin wires are interface terminals: reserve each for the
-        # net that owns it so no other net can route through (an *unused*
-        # input's wire would otherwise be free routing stock and its
-        # external driver would short into whatever used it).
-        reserved: Dict[int, str] = {}
-        for port, wire in virtual_inputs.items():
-            reserved[graph.wire_id(wire)] = port
-        for port, wire in virtual_outputs.items():
-            reserved[graph.wire_id(wire)] = design.outputs[port]
-        router = Router(graph, max_iterations=max_route_iterations,
-                        reserved=reserved)
-        net_list = [specs[name] for name in sorted(specs)]
-        with _phase(instrument, "route", size=len(net_list)) as ph:
-            routed = router.route(net_list, instrument=instrument)
-            ph.size = len(routed)
-        if cache is not None:
-            cache.store_stage("route", route_key, (graph, routed))
+    with _phase(instrument, "rrg") as ph:
+        graph = RoutingGraph(
+            arch,
+            region=None if mode == "dedicated" else region,
+            include_pads=(mode == "dedicated"),
+        )
+        ph.size = len(graph)
+    # Virtual-pin wires are interface terminals: reserve each for the
+    # net that owns it so no other net can route through (an *unused*
+    # input's wire would otherwise be free routing stock and its
+    # external driver would short into whatever used it).
+    reserved: Dict[int, str] = {}
+    for port, wire in virtual_inputs.items():
+        reserved[graph.wire_id(wire)] = port
+    for port, wire in virtual_outputs.items():
+        reserved[graph.wire_id(wire)] = design.outputs[port]
+    router = Router(graph, max_iterations=max_route_iterations,
+                    reserved=reserved)
+    net_list = [specs[name] for name in sorted(specs)]
+    with _phase(instrument, "route", size=len(net_list)) as ph:
+        routed = router.route(net_list, instrument=instrument)
+        ph.size = len(routed)
 
     with _phase(instrument, "timing", size=len(routed)) as ph:
         timing = analyze_timing(arch, placement, routed)
@@ -414,7 +412,7 @@ def compile_netlist(
         )
         if instrument is not None:
             ph.size = len(bitstream.frames_touched(arch))
-    result = CompileResult(
+    return CompileResult(
         bitstream=bitstream,
         design=design,
         placement=placement,
@@ -423,9 +421,6 @@ def compile_netlist(
         n_nets=len(routed),
         profile=instrument.profile() if instrument is not None else None,
     )
-    if cache is not None and flow_key is not None:
-        cache.store_result(flow_key, result, arch)
-    return result
 
 
 def _rect_token(region: Rect) -> Tuple[int, int, int, int]:

@@ -58,7 +58,8 @@ __all__ = [
     "PHASES",
 ]
 
-#: Canonical flow phase order (auto-region retries may repeat a prefix).
+#: Canonical flow phase order (auto-region retries repeat place, rrg and
+#: route).
 PHASES = ("techmap", "pack", "place", "rrg", "route", "timing", "bitgen")
 
 
@@ -137,12 +138,13 @@ class CadRouteIteration(TelemetryEvent):
 class CadCacheLookup(TelemetryEvent):
     """One compile-cache consultation.
 
-    ``stage`` is ``"flow"`` for the end-to-end result lookup or a stage
-    cache name (``"pack"``, ``"place"``, ``"route"``); ``outcome`` is
+    ``stage`` is ``"flow"``, the end-to-end result lookup (streams
+    recorded before the per-stage caches were removed also carry
+    ``"pack"``/``"place"``/``"route"`` lookups, which
+    :class:`CompileProfile` lists but does not count); ``outcome`` is
     ``"hit"`` or ``"miss"``.  ``digest`` carries the netlist content
     digest the key was built from; ``bytes_served`` the configuration
-    bytes a flow hit avoided regenerating (0 for stage lookups, whose
-    value is the skipped phase wall-clock, visible in the phase table).
+    bytes a hit avoided regenerating.
     """
 
     stage: str = ""
@@ -362,25 +364,20 @@ class CompileProfile:
         return int(self.route_curve[-1]["overused"]) if self.route_curve else 0  # type: ignore[arg-type]
 
     # -- cache views -------------------------------------------------------
-    def _cache_count(self, outcome: str, flow: bool) -> int:
+    def _cache_count(self, outcome: str) -> int:
         return sum(
             1 for rec in self.cache_lookups
-            if rec["outcome"] == outcome and (rec["stage"] == "flow") is flow
+            if rec["outcome"] == outcome and rec["stage"] == "flow"
         )
 
     @property
     def cache_hits(self) -> int:
         """End-to-end compile-cache hits (whole flow served)."""
-        return self._cache_count("hit", flow=True)
+        return self._cache_count("hit")
 
     @property
     def cache_misses(self) -> int:
-        return self._cache_count("miss", flow=True)
-
-    @property
-    def cache_stage_hits(self) -> int:
-        """Stage-partial hits (pack/place/route served, rest recompiled)."""
-        return self._cache_count("hit", flow=False)
+        return self._cache_count("miss")
 
     @property
     def cache_bytes_served(self) -> int:
@@ -403,7 +400,6 @@ class CompileProfile:
                 "lookups": [dict(rec) for rec in self.cache_lookups],
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
-                "stage_partial_hits": self.cache_stage_hits,
                 "bytes_served": self.cache_bytes_served,
             },
         }
@@ -488,7 +484,6 @@ class CompileProfile:
                 cache_rows,
                 title=f"{title} — compile cache "
                       f"({self.cache_hits} flow hits, "
-                      f"{self.cache_stage_hits} stage-partial hits, "
                       f"{self.cache_bytes_served} bytes served)",
             ))
         return "\n\n".join(parts)

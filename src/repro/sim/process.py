@@ -16,7 +16,7 @@ from .events import Event, SimulationError
 if typing.TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
 
-__all__ = ["Process", "Interrupt", "InterruptedError_"]
+__all__ = ["Process", "Interrupt"]
 
 
 class Interrupt(Exception):
@@ -29,10 +29,6 @@ class Interrupt(Exception):
     @property
     def cause(self):
         return self.args[0]
-
-
-#: Backwards-compatible alias (kept so downstream code can catch either name).
-InterruptedError_ = Interrupt
 
 
 class Process(Event):

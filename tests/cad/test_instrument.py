@@ -9,6 +9,7 @@ rides on top of that guarantee.
 """
 
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.cad import (
     PHASES,
     CadAnnealStep,
+    CadCacheLookup,
     CadInstrumentation,
     CadPhaseEnd,
     CadPhaseStart,
@@ -25,8 +27,8 @@ from repro.cad import (
     RoutingError,
     compile_netlist,
 )
-from repro.device import get_family
-from repro.netlist import alu, random_logic, ripple_adder, serial_crc
+from repro.device import FrameCodec, get_family
+from repro.netlist import alu, parity_tree, random_logic, ripple_adder, serial_crc
 from repro.telemetry import EventBus, Profiler
 from repro.telemetry.exporters import read_jsonl, to_jsonl
 
@@ -201,6 +203,24 @@ class TestTelemetrySpine:
         to_jsonl(events, buf)
         assert read_jsonl(io.StringIO(buf.getvalue())) == events
 
+    def test_recorded_stage_lookups_are_listed_not_counted(self):
+        """Streams recorded when the cache also had pack/place/route
+        stage caches still load, and only flow lookups count."""
+        events = [
+            CadCacheLookup(time=0.0, source="cad", stage=stage,
+                           outcome=outcome, digest="d")
+            for stage, outcome in [("flow", "miss"), ("flow", "miss"),
+                                   ("pack", "miss"), ("place", "miss"),
+                                   ("route", "miss"), ("flow", "hit"),
+                                   ("pack", "hit")]
+        ]
+        buf = io.StringIO()
+        to_jsonl(events, buf)
+        prof = CompileProfile.from_events(
+            read_jsonl(io.StringIO(buf.getvalue())))
+        assert (prof.cache_hits, prof.cache_misses) == (1, 2)
+        assert len(prof.cache_lookups) == len(events)
+
 
 # -- failure paths -----------------------------------------------------------
 class TestFailurePaths:
@@ -227,3 +247,24 @@ class TestFailurePaths:
         assert prof.final_overuse > 0
         # No attempt got past routing.
         assert not any(r["phase"] == "bitgen" for r in prof.phases)
+
+    def test_auto_region_retry_maps_once_and_skips_a_repeated_region(self):
+        """The 1x10 column region fails to route, the next candidate is
+        the same 1x10 and is skipped, and 2x10 routes: one techmap and
+        pack, two place/rrg/route attempts, and the bitstream of a
+        compile straight into 2x10."""
+        kw = dict(shape="columns", effort="greedy", seed=1)
+        instr = CadInstrumentation()
+        auto = compile_netlist(parity_tree(8), ARCH, instrument=instr, **kw)
+        counts = Counter(rec["phase"] for rec in instr.profile().phases)
+        assert counts == {"techmap": 1, "pack": 1, "place": 2, "rrg": 2,
+                          "route": 2, "timing": 1, "bitgen": 1}
+        region = auto.bitstream.region
+        assert (region.w, region.h) == (2, 10)
+        explicit = compile_netlist(parity_tree(8), ARCH, region=region, **kw)
+        assert auto.bitstream == explicit.bitstream
+        codec = FrameCodec(ARCH)
+        auto_frames, explicit_frames = (
+            codec.build_frames(bs.clbs, bs.switches, bs.iobs).tobytes()
+            for bs in (auto.bitstream, explicit.bitstream))
+        assert auto_frames == explicit_frames
