@@ -13,9 +13,9 @@ approaches the serial sum of service times; partitioning restores overlap.
 from _harness import emit, run_system
 
 from repro.analysis import format_table
-from repro.core import ConfigRegistry, make_cpu_scheduler
+from repro.core import ConfigRegistry
 from repro.device import get_family
-from repro.osim import CpuBurst, FpgaOp, Task
+from repro.osim import CpuBurst, FpgaOp, Task, make_cpu_scheduler
 
 CP = 25e-9
 CYCLES = 400_000

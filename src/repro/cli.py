@@ -213,7 +213,7 @@ def cmd_compile_report(args) -> int:
 
 def _make_scheduler(args):
     """The CPU scheduling engine selected by ``--cpu-sched``."""
-    from .core import make_cpu_scheduler
+    from .osim import make_cpu_scheduler
 
     return make_cpu_scheduler(args.cpu_sched)
 
@@ -404,9 +404,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    from .telemetry import AuditError, audit_events, read_jsonl
+    from .telemetry import Auditor, AuditError, EventBus, audit_events, read_jsonl
 
-    auditor = None
     aborted = None
     if args.input is not None:
         # Replay a recording through the monitors — same verdicts as live.
@@ -417,14 +416,17 @@ def cmd_audit(args) -> int:
         title = f"audit of {args.input}"
     else:
         vf, tasks, policy_kw = _build_workload(args)
-        mode = "strict" if args.strict else "lenient"
+        # Subscribed before the system boots, so boot downloads are
+        # audited too.
+        bus = EventBus()
+        auditor = Auditor(bus, mode="strict" if args.strict else "lenient",
+                          deadline=args.deadline,
+                          clb_capacity=vf.arch.n_clbs)
         try:
-            vf.simulate(tasks, policy=args.policy, audit=mode,
-                        scheduler=_make_scheduler(args),
-                        audit_deadline=args.deadline, **policy_kw)
+            vf.simulate(tasks, policy=args.policy, bus=bus,
+                        scheduler=_make_scheduler(args), **policy_kw)
         except AuditError as exc:
             aborted = exc
-        auditor = vf.last_auditor
         auditor.finish()
         title = f"audit of {args.policy}@{args.family}"
 

@@ -90,24 +90,12 @@ from .preemption import (
 )
 from .rect_alloc import RectAllocator
 from .scheduling import (
-    AgedPriority,
-    CPU_SCHEDULERS,
     CostAwareFabric,
-    CpuDecision,
-    CpuSchedulerPolicy,
-    DeadlineEDF,
     FABRIC_SCHEDULERS,
     FabricDecision,
     FabricSchedulerPolicy,
-    FifoCpu,
     FixedQuantumFabric,
-    PriorityCpu,
-    ReadyEntry,
-    ReadyView,
-    RoundRobinCpu,
     SwitchContext,
-    make_cpu_policy,
-    make_cpu_scheduler,
     make_fabric_scheduler,
 )
 from .scrubber import Scrubber, UpsetInjector, UpsetRecord
@@ -124,12 +112,10 @@ __all__ = [
     "Adaptive",
     "AdmissionError",
     "AffinityDispatch",
-    "AgedPriority",
     "BestFitPlacement",
     "BitstreamCache",
     "BoardDispatchPolicy",
     "BottomLeftPlacement",
-    "CPU_SCHEDULERS",
     "CapacityError",
     "ClockReplacement",
     "ColumnAllocator",
@@ -139,15 +125,11 @@ __all__ = [
     "ConfigEntry",
     "ConfigRegistry",
     "CostAwareFabric",
-    "CpuDecision",
-    "CpuSchedulerPolicy",
     "DISPATCH_POLICIES",
-    "DeadlineEDF",
     "DynamicLoadingService",
     "FABRIC_SCHEDULERS",
     "FabricDecision",
     "FabricSchedulerPolicy",
-    "FifoCpu",
     "FifoReplacement",
     "FixedPartitionService",
     "FixedQuantumFabric",
@@ -168,15 +150,11 @@ __all__ = [
     "PlacementStrategy",
     "PreemptDecision",
     "PreemptionPolicy",
-    "PriorityCpu",
     "Proposal",
     "RandomReplacement",
-    "ReadyEntry",
-    "ReadyView",
     "RectAllocator",
     "ReplacementPolicy",
     "Rollback",
-    "RoundRobinCpu",
     "RoundRobinDispatch",
     "RunToCompletion",
     "SaveRestore",
@@ -197,8 +175,6 @@ __all__ = [
     "VirtualFpga",
     "access_trace",
     "bitstream_digest",
-    "make_cpu_policy",
-    "make_cpu_scheduler",
     "make_dispatch",
     "make_fabric_scheduler",
     "make_paged_circuit",

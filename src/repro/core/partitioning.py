@@ -367,7 +367,8 @@ class VariablePartitionService(VfpgaServiceBase):
        ones — are relocated leftwards, charging real unload/reload plus
        state save/restore for sequential circuits: the paper's costly
        relocation, and the only remedy when held partitions fragment the
-       array;
+       array (a sequential circuit whose state is not accessible is
+       never moved);
     4. otherwise the task suspends; under ``gc="none"`` it can starve
        although the sum of the idle fragments would fit it — the exact
        hazard the paper calls "definitely not acceptable" (experiment E5
@@ -493,7 +494,10 @@ class VariablePartitionService(VfpgaServiceBase):
         """Slide idle resident circuits toward x = 0 (paper §4 relocation).
 
         Sequential circuits additionally pay state readback + restore so
-        their memory contents survive the move.
+        their memory contents survive the move; one whose state cannot
+        be read back stays where it is (moving state needs observability
+        and controllability, §3 — ``save-restore`` refuses to preempt it
+        for the same reason).
         """
         self._publish(Compact, task)
         moved = 0
@@ -502,7 +506,9 @@ class VariablePartitionService(VfpgaServiceBase):
         slide = ColumnFirstFit() if self.layout == "columns" else None
         self.allocator.merge_free()
         movable = sorted(
-            (r for r in self.residents.values() if self._is_movable(r)),
+            (r for r in self.residents.values()
+             if self._is_movable(r)
+             and (r.entry.state_accessible or not r.entry.is_sequential)),
             key=lambda r: (r.anchor[1], r.anchor[0]),
         )
         for res in movable:
@@ -523,7 +529,7 @@ class VariablePartitionService(VfpgaServiceBase):
                 if new_anchor == res.anchor:
                     continue
                 port = self.fpga.port
-                move_state = res.entry.is_sequential and res.entry.state_accessible
+                move_state = res.entry.is_sequential
                 if move_state:
                     yield from self._charge_state(
                         task, port.state_save_time(res.entry.bitstream).seconds,

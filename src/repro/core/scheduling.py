@@ -1,67 +1,30 @@
-"""Pluggable scheduling engines — CPU ready-queue and fabric preemption.
+"""Fabric scheduling engine: is preempting the resident circuit worth it?
 
-The fourth engine quadrant (after placement, replacement and dispatch):
-scheduling as strategy objects, priced by what a context switch actually
-costs on a reconfigurable device.
+The paper's §3 preemption mechanics (save/restore vs rollback) say *how*
+to preempt; this engine prices the whole context switch on a
+reconfigurable device — the victim's eventual reload (delta-frame cost
+from the resident :class:`~repro.device.ConfigRam` digests), the state
+movement of the :class:`~repro.core.preemption.PreemptDecision`, the
+progress a rollback discards — and weighs the bill against the fabric
+time a switch buys the waiters.  ``fixed-quantum`` reproduces the seed
+behavior (preempt whenever anyone waits); :class:`CostAwareFabric` skips
+switches whose bill exceeds the benefit, following the cost models of
+task-based preemptive FPGA scheduling on partial reconfiguration
+(PAPERS.md).
 
-Two protocols live here:
-
-* :class:`CpuSchedulerPolicy` — the ready-queue strategy behind
-  :class:`repro.osim.scheduler.PolicyScheduler`.  A strategy is *pure*:
-  ``pick(ReadyView) -> CpuDecision`` inspects an immutable snapshot of
-  the ready queue and names the entry to dispatch; the host owns the
-  mutable queue and keeps O(1)/O(log n) fast paths (deque / heap) for
-  strategies that declare a static :attr:`~CpuSchedulerPolicy.order`.
-  The seed ``Fifo``/``RoundRobin``/``PriorityScheduler`` behaviors are
-  reproduced event-for-event; :class:`DeadlineEDF` and
-  :class:`AgedPriority` add deadline- and starvation-aware strategies.
-
-* :class:`FabricSchedulerPolicy` — decides *whether* preempting the
-  resident circuit is worth it.  The paper's §3 preemption mechanics
-  (save/restore vs rollback) say *how* to preempt; this engine prices
-  the whole switch — the victim's eventual reload (delta-frame cost
-  from the resident :class:`~repro.device.ConfigRam` digests), the
-  state movement of the :class:`~repro.core.preemption.PreemptDecision`,
-  the progress a rollback discards — and weighs the bill against the
-  fabric time a switch buys the waiters.  ``fixed-quantum`` reproduces
-  the seed behavior (preempt whenever anyone waits);
-  :class:`CostAwareFabric` skips switches whose bill exceeds the
-  benefit, following the cost models of task-based preemptive
-  FPGA scheduling on partial reconfiguration (PAPERS.md).
+The CPU side — the kernel's ready-queue disciplines — lives in
+:mod:`repro.osim.scheduler`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Optional,
-    Tuple,
-    Type,
-    Union,
-)
+from typing import Callable, Dict, Optional, Type, Union
 
 from .preemption import PreemptDecision
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..osim.task import Task
-
 __all__ = [
-    "ReadyEntry",
-    "ReadyView",
-    "CpuDecision",
-    "CpuSchedulerPolicy",
-    "FifoCpu",
-    "RoundRobinCpu",
-    "PriorityCpu",
-    "DeadlineEDF",
-    "AgedPriority",
-    "CPU_SCHEDULERS",
-    "make_cpu_policy",
-    "make_cpu_scheduler",
     "SwitchContext",
     "FabricDecision",
     "FabricSchedulerPolicy",
@@ -72,238 +35,11 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# CPU side: ready-queue strategies
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReadyEntry:
-    """One ready task as a strategy sees it.
-
-    ``seq`` is the host-minted monotone enqueue ticket — unique per
-    enqueue, so relative ``seq`` order *is* arrival order (the seed
-    list index).  ``enqueued_at`` is the simulation time the task
-    (re-)entered the ready queue, the input priority aging needs.
-    """
-
-    task: "Task"
-    seq: int
-    enqueued_at: float
-
-
-@dataclass(frozen=True)
-class ReadyView:
-    """Immutable snapshot of the ready queue at one decision instant."""
-
-    now: float
-    entries: Tuple[ReadyEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class CpuDecision:
-    """A strategy's answer: dispatch the entry with this ``seq``."""
-
-    seq: int
-
-
-class CpuSchedulerPolicy(ABC):
-    """Pure ready-queue strategy.
-
-    :attr:`order` declares the selection discipline so the host can keep
-    a matching fast path:
-
-    * ``"fifo"`` — always the oldest entry (host uses an O(1) deque);
-    * ``"keyed"`` — minimal ``(key(task), seq)`` under a key that is
-      fixed at enqueue time (host uses an O(log n) heap);
-    * ``"dynamic"`` — the key depends on the decision instant (aging);
-      the host materializes a :class:`ReadyView` and calls
-      :meth:`pick` for every dispatch.
-
-    :meth:`pick` is total for every order — property tests drive the
-    pure protocol directly and hold the fast paths to decision
-    equivalence with it.
-    """
-
-    name: str = "abstract"
-    #: Selection discipline: ``"fifo"`` | ``"keyed"`` | ``"dynamic"``.
-    order: str = "fifo"
-
-    def key(self, task: "Task") -> Tuple[float, ...]:
-        """Enqueue-time sort key (``order == "keyed"`` strategies)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} declares order={self.order!r} "
-            "but does not implement key()"
-        )
-
-    def pick(self, view: ReadyView) -> Optional[CpuDecision]:
-        """Name the entry to dispatch (``None`` on an empty view)."""
-        if not view.entries:
-            return None
-        if self.order == "fifo":
-            best = min(view.entries, key=lambda e: e.seq)
-        else:
-            # Any keyed strategy driven through the pure protocol makes
-            # the same decisions as its heap fast path.
-            best = min(view.entries,
-                       key=lambda e: (self.key(e.task), e.seq))
-        return CpuDecision(best.seq)
-
-    @abstractmethod
-    def quantum(self, task: "Task") -> float:
-        """CPU time slice granted to ``task`` (inf = run burst to end)."""
-
-    def __repr__(self) -> str:
-        params = ", ".join(
-            f"{k}={v!r}" for k, v in sorted(vars(self).items())
-            if not k.startswith("_")
-        )
-        return f"{type(self).__name__}({params})"
-
-
 def _require_positive(value: float, what: str) -> float:
     if value <= 0:
         raise ValueError(f"{what} must be positive")
     return value
 
-
-class FifoCpu(CpuSchedulerPolicy):
-    """Run-to-completion batch scheduling (the seed ``Fifo``)."""
-
-    name = "fifo"
-    order = "fifo"
-
-    def quantum(self, task: "Task") -> float:
-        return float("inf")
-
-
-class RoundRobinCpu(CpuSchedulerPolicy):
-    """Time-shared FIFO with a fixed quantum (the seed ``RoundRobin``)."""
-
-    name = "rr"
-    order = "fifo"
-
-    def __init__(self, time_slice: float = 10e-3) -> None:
-        self.time_slice = _require_positive(time_slice, "time_slice")
-
-    def quantum(self, task: "Task") -> float:
-        return self.time_slice
-
-
-class PriorityCpu(CpuSchedulerPolicy):
-    """Static priorities, stable within a level (the seed
-    ``PriorityScheduler``): minimal ``(priority, arrival)``."""
-
-    name = "priority"
-    order = "keyed"
-
-    def __init__(self, time_slice: float = 10e-3) -> None:
-        self.time_slice = _require_positive(time_slice, "time_slice")
-
-    def key(self, task: "Task") -> Tuple[float, ...]:
-        return (task.priority,)
-
-    def quantum(self, task: "Task") -> float:
-        return self.time_slice
-
-
-class DeadlineEDF(CpuSchedulerPolicy):
-    """Earliest deadline first.
-
-    Tasks without a :attr:`~repro.osim.task.Task.deadline` sort last
-    (infinite deadline) and fall back to arrival order among
-    themselves — a deadline-free workload behaves exactly like FIFO
-    with a quantum.
-    """
-
-    name = "edf"
-    order = "keyed"
-
-    def __init__(self, time_slice: float = 10e-3) -> None:
-        self.time_slice = _require_positive(time_slice, "time_slice")
-
-    def key(self, task: "Task") -> Tuple[float, ...]:
-        deadline = getattr(task, "deadline", None)
-        return (float("inf") if deadline is None else deadline,)
-
-    def quantum(self, task: "Task") -> float:
-        return self.time_slice
-
-
-class AgedPriority(CpuSchedulerPolicy):
-    """Static priorities with aging — no starvation.
-
-    A task's effective priority drops by one level for every ``aging``
-    seconds it has waited in the ready queue, so any task eventually
-    outranks a steady stream of higher-priority arrivals.  With
-    ``aging = inf`` this degenerates to :class:`PriorityCpu`.
-    """
-
-    name = "aged-priority"
-    order = "dynamic"
-
-    def __init__(self, time_slice: float = 10e-3,
-                 aging: float = 50e-3) -> None:
-        self.time_slice = _require_positive(time_slice, "time_slice")
-        self.aging = _require_positive(aging, "aging")
-
-    def effective_priority(self, entry: ReadyEntry, now: float) -> float:
-        waited = max(0.0, now - entry.enqueued_at)
-        return entry.task.priority - waited / self.aging
-
-    def pick(self, view: ReadyView) -> Optional[CpuDecision]:
-        if not view.entries:
-            return None
-        best = min(
-            view.entries,
-            key=lambda e: (self.effective_priority(e, view.now), e.seq),
-        )
-        return CpuDecision(best.seq)
-
-    def quantum(self, task: "Task") -> float:
-        return self.time_slice
-
-
-#: Registry of instantiable CPU strategies (CLI sweep space).
-CPU_SCHEDULERS: Dict[str, Type[CpuSchedulerPolicy]] = {
-    cls.name: cls
-    for cls in (FifoCpu, RoundRobinCpu, PriorityCpu, DeadlineEDF,
-                AgedPriority)
-}
-
-
-def make_cpu_policy(
-    name: Union[str, CpuSchedulerPolicy], **kw
-) -> CpuSchedulerPolicy:
-    """Instantiate a CPU strategy by name (instances pass through)."""
-    if isinstance(name, CpuSchedulerPolicy):
-        if kw:
-            raise ValueError(
-                "cannot pass constructor kwargs with a ready-made "
-                f"CpuSchedulerPolicy instance ({name!r})"
-            )
-        return name
-    try:
-        cls = CPU_SCHEDULERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown cpu scheduler {name!r}; have {sorted(CPU_SCHEDULERS)}"
-        ) from None
-    return cls(**kw)
-
-
-def make_cpu_scheduler(name: Union[str, CpuSchedulerPolicy], **kw):
-    """A ready-to-use kernel scheduler driving the named strategy."""
-    from ..osim.scheduler import PolicyScheduler
-
-    return PolicyScheduler(make_cpu_policy(name, **kw))
-
-
-# ---------------------------------------------------------------------------
-# Fabric side: preemption worth it?
-# ---------------------------------------------------------------------------
 
 class SwitchContext:
     """Everything a fabric strategy may price at one preemption point.

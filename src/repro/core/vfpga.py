@@ -23,7 +23,7 @@ from ..device import Architecture, DeviceView, Fpga, get_family
 from ..netlist import Netlist
 from ..osim import Kernel, RoundRobin, RunStats, Scheduler, Task
 from ..sim import Simulator
-from ..telemetry import Auditor, EventBus
+from ..telemetry import EventBus
 from .baselines import (
     MergedResidentService,
     NonPreemptableService,
@@ -81,8 +81,8 @@ def make_service(policy: str, registry: ConfigRegistry, **kw):
     name (``dynamic`` only), and ``load_mode``
     (``full``/``delta``/``auto``) selects the reconfiguration engine on
     every policy.  The CPU-side siblings live in
-    :data:`~repro.core.scheduling.CPU_SCHEDULERS` and are instantiated
-    via :func:`~repro.core.scheduling.make_cpu_scheduler` (the kernel's
+    :data:`~repro.osim.scheduler.CPU_SCHEDULERS` and are instantiated
+    via :func:`~repro.osim.scheduler.make_cpu_scheduler` (the kernel's
     ``scheduler`` argument, not a service kwarg).
     """
     kw = dict(kw)  # never mutate the caller's kwargs
@@ -198,8 +198,6 @@ class VirtualFpga:
         context_switch: float = 20e-6,
         bus: Optional[EventBus] = None,
         telemetry_steps: bool = False,
-        audit: Union[None, str, Auditor] = None,
-        audit_deadline: Optional[float] = None,
         op_deadline: Optional[float] = None,
         **policy_kw,
     ) -> RunStats:
@@ -212,32 +210,15 @@ class VirtualFpga:
         :class:`~repro.telemetry.EventLog` (or other recorders and
         exporters) already subscribed to capture its event stream;
         ``telemetry_steps`` additionally publishes one event per
-        simulator step.
-
-        Auditing: ``audit`` may be ``"lenient"``/``"strict"`` (an
-        :class:`~repro.telemetry.Auditor` is created and subscribed
-        before the kernel boots, so boot downloads are audited too) or a
-        ready-made auditor to attach; it is available afterwards as
-        :attr:`last_auditor` with its end-of-stream checks already run.
-        ``audit_deadline`` is the auditor's liveness bound;
+        simulator step.  An :class:`~repro.telemetry.Auditor` attaches
+        the same way: subscribe it to ``bus`` before the call, so boot
+        downloads are audited too, and run its end-of-stream
+        :meth:`~repro.telemetry.Auditor.finish` afterwards.
         ``op_deadline`` arms the kernel's fail-fast watchdog (a
         :class:`~repro.osim.DeadlockError` at the deadline instant).
         """
         sim = Simulator()
         service = make_service(policy, self.registry, **policy_kw)
-        auditor: Optional[Auditor] = None
-        if audit is not None:
-            if bus is None:
-                bus = EventBus()
-            if isinstance(audit, Auditor):
-                auditor = audit
-                if auditor.bus is None:
-                    auditor.bus = bus
-                    bus.subscribe_all(auditor)
-            else:
-                auditor = Auditor(bus, mode=audit, deadline=audit_deadline,
-                                  clb_capacity=self.arch.n_clbs)
-        self.last_auditor = auditor
         kernel = Kernel(
             sim,
             scheduler if scheduler is not None else RoundRobin(),
@@ -252,8 +233,4 @@ class VirtualFpga:
         # service inspectable (starvation post-mortems need it).
         self.last_service = service
         self.last_kernel = kernel
-        try:
-            return kernel.run()
-        finally:
-            if auditor is not None:
-                auditor.finish()
+        return kernel.run()

@@ -7,11 +7,14 @@ implements every VFPGA strategy of the paper.
 
 from .kernel import DeadlockError, Kernel
 from .scheduler import (
+    CPU_SCHEDULERS,
+    AgedPriority,
+    DeadlineEDF,
     Fifo,
-    PolicyScheduler,
     PriorityScheduler,
     RoundRobin,
     Scheduler,
+    make_cpu_scheduler,
 )
 from .syscalls import FpgaService, NullFpgaService, SyscallError
 from .task import CpuBurst, FpgaOp, Step, Task, TaskAccounting, TaskState
@@ -25,14 +28,16 @@ from .workload import (
 )
 
 __all__ = [
+    "AgedPriority",
+    "CPU_SCHEDULERS",
     "CpuBurst",
+    "DeadlineEDF",
     "DeadlockError",
     "Fifo",
     "FpgaOp",
     "FpgaService",
     "Kernel",
     "NullFpgaService",
-    "PolicyScheduler",
     "PriorityScheduler",
     "RoundRobin",
     "RunStats",
@@ -44,6 +49,7 @@ __all__ = [
     "TaskState",
     "alternating_task",
     "bursty_arrivals",
+    "make_cpu_scheduler",
     "run_stats",
     "uniform_workload",
     "zipf_index",

@@ -57,7 +57,7 @@ class Kernel:
     sim:
         The discrete-event simulator to run on.
     scheduler:
-        CPU scheduling policy.
+        CPU scheduling discipline (see :mod:`repro.osim.scheduler`).
     fpga_service:
         FPGA management policy (see :mod:`repro.core`).
     context_switch:
@@ -98,12 +98,8 @@ class Kernel:
             raise ValueError("op_deadline must be positive (or None)")
         self.sim = sim
         self.scheduler = scheduler
-        # Time-aware scheduling strategies (aging, deadline slack) read
-        # the simulation clock; duck-typed schedulers without the hook
-        # keep working unchanged.
-        bind_clock = getattr(scheduler, "bind_clock", None)
-        if bind_clock is not None:
-            bind_clock(lambda: sim.now)
+        # Time-aware disciplines (aging) read the simulation clock.
+        scheduler.bind_clock(lambda: sim.now)
         self.service = fpga_service
         self.bus = bus if bus is not None else EventBus()
         if telemetry_steps:

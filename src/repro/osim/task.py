@@ -125,8 +125,9 @@ class Task:
         configurations must be registered in the OS tables up front.
     priority:
         Lower = more important (only priority schedulers look at it —
-        :class:`~repro.osim.scheduler.PriorityScheduler` and the
-        ``aged-priority`` strategy, which decays it with waiting time).
+        :class:`~repro.osim.scheduler.PriorityScheduler` and
+        :class:`~repro.osim.scheduler.AgedPriority`, which decays it with
+        waiting time).
     arrival:
         Simulation time at which the task enters the system.  Absolute
         (not relative to spawn); the kernel admits the task at exactly

@@ -13,13 +13,13 @@ module is the regression gate over those artifacts — used three ways:
 * tests, which feed synthetic artifacts.
 
 Gating semantics: ``wall_seconds`` regresses when it *grows* past the
-threshold (machine-dependent, so only growth is a failure);
-``n_events`` regresses when it *deviates* past the threshold in either
-direction (event counts are deterministic — any drift means the
-simulation changed).  Simulation results (makespan, mean turnaround,
-useful fraction) are reported but never gate: changing them is what
-experiments are *for*, and the benchmarks' own asserts guard their
-shape.
+threshold (machine-dependent, so only growth is a failure).  Everything
+a seeded simulation computes — the headline results (makespan, mean
+turnaround, useful fraction, loads and hits) as much as event counts
+and frames written — regresses when it *deviates* past the threshold in
+either direction: the experiments are deterministic, so any drift means
+the simulation changed.  A change that moves them on purpose
+regenerates the baseline and says why.
 """
 
 from __future__ import annotations
@@ -76,9 +76,11 @@ METRICS: Tuple[Tuple[str, Optional[str]], ...] = (
     ("telemetry.n_events", "drift"),
     ("metrics.frames_written", "drift"),
     ("metrics.n_deadline_misses", "drift"),
-    ("makespan", None),
-    ("mean_turnaround", None),
-    ("useful_fraction", None),
+    ("metrics.n_loads", "drift"),
+    ("metrics.n_hits", "drift"),
+    ("makespan", "drift"),
+    ("mean_turnaround", "drift"),
+    ("useful_fraction", "drift"),
     ("compile.total_seconds", "growth"),
     ("compile.phase_seconds.place", "growth"),
     ("compile.phase_seconds.route", "growth"),

@@ -17,13 +17,15 @@ import pytest
 from repro.core import (
     ConfigRegistry,
     LruReplacement,
-    make_cpu_scheduler,
     make_paged_circuit,
     make_segmented_circuit,
     make_service,
 )
 from repro.device import get_family
 from repro.osim import (
+    AgedPriority,
+    CpuBurst,
+    DeadlineEDF,
     Fifo,
     FpgaOp,
     Kernel,
@@ -34,6 +36,7 @@ from repro.osim import (
 )
 from repro.sim import Simulator
 from repro.telemetry import EventBus, EventLog
+from tests.osim.reference import reference_scheduler
 
 
 def canon(events):
@@ -216,39 +219,80 @@ def test_seeded_random_replacement_reproducible():
     assert run_events("paged", build_a) == run_events("paged", build_b)
 
 
-# -- CPU scheduling engines (PR 6) ----------------------------------------
+# -- CPU scheduling disciplines vs the reference oracle ---------------------
 #
-# The seed schedulers became thin strategies over PolicyScheduler; these
-# comparisons pin that every policy's event stream is untouched when the
-# seed class is swapped for the equivalent engine built by name.
+# Each discipline in repro.osim.scheduler must drive a whole system
+# exactly as the seed list queue kept in tests/osim/reference.py does:
+# same dispatches, same FPGA requests, same timestamps.
+
+def ranked(build):
+    """``build`` with mixed priorities and deadlines, and CPU bursts ten
+    times longer so the ready queue builds up: each discipline then
+    orders it its own way."""
+    def ranked_build():
+        registry, tasks, policy_kw = build()
+        for i, task in enumerate(tasks):
+            task.priority = (i * 7) % 4
+            task.deadline = (task.arrival + 1e-3 * ((i * 5) % 6)
+                             if i % 3 else None)
+            task.program = [
+                CpuBurst(step.duration * 10)
+                if isinstance(step, CpuBurst) else step
+                for step in task.program
+            ]
+        return registry, tasks, policy_kw
+    return ranked_build
+
 
 @pytest.mark.parametrize(
     "policy,default_build,explicit_build", CASES,
     ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)],
 )
 def test_seed_rr_equals_engine_rr(policy, default_build, explicit_build):
+    """The default ``RoundRobin`` on every policy, against the oracle."""
     seed_run = run_events(policy, default_build)
-    engine_run = run_events(
+    oracle_run = run_events(
         policy, default_build,
-        scheduler_factory=lambda: make_cpu_scheduler("rr",
-                                                     time_slice=1e-3))
-    assert seed_run == engine_run
+        scheduler_factory=lambda: reference_scheduler("rr",
+                                                      time_slice=1e-3))
+    assert seed_run == oracle_run
     assert seed_run
+
+
+AGING = 1e-3  # half a CPU burst of waiting outranks a priority level
 
 
 @pytest.mark.parametrize("name,seed_factory", [
     ("fifo", Fifo),
     ("priority", lambda: PriorityScheduler(time_slice=1e-3)),
+    ("rr", lambda: RoundRobin(time_slice=1e-3)),
+    ("edf", lambda: DeadlineEDF(time_slice=1e-3)),
+    ("aged-priority", lambda: AgedPriority(time_slice=1e-3, aging=AGING)),
 ])
 def test_seed_class_equals_engine(name, seed_factory):
-    build = contended_build(hold_mode="op")
-    kw = {} if name == "fifo" else {"time_slice": 1e-3}
+    build = ranked(contended_build(hold_mode="op"))
     seed_run = run_events("variable", build, scheduler_factory=seed_factory)
-    engine_run = run_events(
+    oracle_run = run_events(
         "variable", build,
-        scheduler_factory=lambda: make_cpu_scheduler(name, **kw))
-    assert seed_run == engine_run
+        scheduler_factory=lambda: reference_scheduler(
+            name, time_slice=1e-3, aging=AGING))
+    assert seed_run == oracle_run
     assert seed_run
+
+
+def test_ranked_build_separates_disciplines():
+    """The parity above compares real signal: on the ranked workload the
+    disciplines dispatch in different orders."""
+    build = ranked(contended_build(hold_mode="op"))
+    orders = {
+        name: tuple(fields for event, fields in run_events(
+            "variable", build,
+            scheduler_factory=lambda: reference_scheduler(
+                name, time_slice=1e-3, aging=AGING))
+            if event == "Dispatch")
+        for name in ("rr", "priority", "edf", "aged-priority")
+    }
+    assert len(set(orders.values())) == len(orders)
 
 
 def test_fabric_sched_default_equals_explicit():

@@ -9,7 +9,7 @@ from repro.core import (
     VariablePartitionService,
 )
 from repro.osim import CpuBurst, DeadlockError, FpgaOp, Task
-from repro.telemetry import Placement, Relocate
+from repro.telemetry import Placement, Relocate, StateSave, TaskDone
 
 CP = 20e-9
 
@@ -149,6 +149,32 @@ class TestVariablePartitions:
         assert svc.metrics.n_relocations >= 1
         # c4 survived the move and was reused without a reload.
         assert "c4" in svc.fpga.resident
+
+    @pytest.mark.parametrize("held,moved", [("seq4", True),
+                                            ("hidden4", False)])
+    def test_compaction_moves_only_state_it_can_save(self, registry,
+                                                     harness, held, moved):
+        """Relocating a held sequential circuit saves and restores its
+        state; one whose state is not accessible is left in place (§3),
+        so the wide request waits for the holder to let go instead."""
+        svc = VariablePartitionService(registry, gc="compact")
+        h = harness(svc)
+        t_left = Task("t_left", [FpgaOp("a3", 10)])
+        t_mid = Task("t_mid",
+                     [FpgaOp(held, 10), CpuBurst(0.2), FpgaOp(held, 10)],
+                     arrival=1e-3)
+        t_big = Task("t_big", [FpgaOp("d6", 10)], arrival=2e-2)
+        stats = h.run([t_left, t_mid, t_big])
+        assert stats.n_tasks == 3
+        relocated = [e.handle for e in h.log.events
+                     if isinstance(e, Relocate)]
+        saved = [e.handle for e in h.log.events
+                 if isinstance(e, StateSave)]
+        assert relocated == ([held] if moved else [])
+        assert saved == relocated
+        done = [e.task for e in h.log.events if isinstance(e, TaskDone)]
+        # Unmoved, the held circuit blocks d6 until t_mid exits.
+        assert (done.index("t_big") < done.index("t_mid")) == moved
 
     @pytest.mark.parametrize("rule", ["column-first-fit", "column-best-fit",
                                       "column-worst-fit"])

@@ -1,18 +1,24 @@
-"""Scheduler policy objects and workload builders — direct unit tests."""
+"""CPU scheduling disciplines and workload builders — direct unit tests."""
 
 import pytest
 
 from repro.osim import (
+    CPU_SCHEDULERS,
+    AgedPriority,
     CpuBurst,
+    DeadlineEDF,
     Fifo,
     FpgaOp,
     PriorityScheduler,
     RoundRobin,
     Task,
     alternating_task,
+    make_cpu_scheduler,
     uniform_workload,
     zipf_index,
 )
+
+from tests.osim.reference import reference_scheduler
 
 
 class TestSchedulerObjects:
@@ -47,41 +53,30 @@ class TestSchedulerObjects:
         assert s.pick() is t1
         assert s.pick() is t2
 
-    def test_ready_tasks_snapshot(self):
-        s = Fifo()
-        t = Task("t", [])
-        s.enqueue(t)
-        snapshot = s.ready_tasks
-        snapshot.clear()
-        assert len(s) == 1
+    @pytest.mark.parametrize("cls,kw", [
+        (DeadlineEDF, {"time_slice": 0}),
+        (AgedPriority, {"time_slice": -1.0}),
+        (AgedPriority, {"aging": 0}),
+    ])
+    def test_deadline_and_aging_validation(self, cls, kw):
+        with pytest.raises(ValueError):
+            cls(**kw)
 
+    def test_registry_names(self):
+        assert sorted(CPU_SCHEDULERS) == ["aged-priority", "edf", "fifo",
+                                          "priority", "rr"]
+        assert type(make_cpu_scheduler("edf")) is DeadlineEDF
+        assert make_cpu_scheduler("rr", time_slice=2e-3).quantum(
+            Task("t", [])) == 2e-3
 
-class _SeedQueue:
-    """The pre-refactor ready queue, verbatim: a plain list popped from
-    the front (FIFO) or by linear stable min-scan (priority).  The
-    deque/heap fast paths in :class:`PolicyScheduler` must reproduce
-    these orders exactly."""
-
-    def __init__(self, keyed: bool = False) -> None:
-        self._ready = []
-        self.keyed = keyed
-
-    def enqueue(self, task):
-        self._ready.append(task)
-
-    def pick(self):
-        if not self._ready:
-            return None
-        if not self.keyed:
-            return self._ready.pop(0)
-        best = min(range(len(self._ready)),
-                   key=lambda i: (self._ready[i].priority, i))
-        return self._ready.pop(best)
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown cpu scheduler"):
+            make_cpu_scheduler("lottery")
 
 
 class TestSeedOrderEquality:
-    """Order-equality pin: deque/heap hosts vs the seed list queues over
-    interleaved enqueue/pick sequences."""
+    """Order-equality pin: each discipline vs the seed list queue (the
+    reference oracle) over interleaved enqueue/pick sequences."""
 
     def _trace(self, scheduler, seed_queue, rng_seed):
         import random
@@ -112,16 +107,18 @@ class TestSeedOrderEquality:
 
     @pytest.mark.parametrize("rng_seed", [0, 1, 2, 3])
     def test_fifo_matches_seed_list(self, rng_seed):
-        self._trace(Fifo(), _SeedQueue(), rng_seed)
+        self._trace(Fifo(), reference_scheduler("fifo"), rng_seed)
 
     @pytest.mark.parametrize("rng_seed", [0, 1, 2, 3])
     def test_round_robin_matches_seed_list(self, rng_seed):
-        self._trace(RoundRobin(time_slice=1e-3), _SeedQueue(), rng_seed)
+        self._trace(RoundRobin(time_slice=1e-3),
+                    reference_scheduler("rr", time_slice=1e-3), rng_seed)
 
     @pytest.mark.parametrize("rng_seed", [0, 1, 2, 3])
     def test_priority_matches_seed_scan(self, rng_seed):
         self._trace(PriorityScheduler(time_slice=1e-3),
-                    _SeedQueue(keyed=True), rng_seed)
+                    reference_scheduler("priority", time_slice=1e-3),
+                    rng_seed)
 
 
 class TestWorkloadBuilders:

@@ -1,9 +1,9 @@
-"""Property-based tests for the CPU scheduling engines.
+"""Property-based tests for the CPU scheduling disciplines.
 
 Three contracts the refactor must not break, over arbitrary interleaved
 enqueue/pick sequences:
 
-* **conservation** — no strategy ever loses or duplicates a task;
+* **conservation** — no discipline ever loses or duplicates a task;
 * **degeneracy** — ``RoundRobin(time_slice=inf)`` makes exactly the
   same decisions as ``Fifo`` (only the quantum differs, and an infinite
   quantum *is* FIFO);
@@ -11,27 +11,39 @@ enqueue/pick sequences:
   task, however low its priority, once its wait outweighs the priority
   gap (the aging credit grows without bound).
 
-The heap/deque fast paths are additionally checked against the pure
-``pick(ReadyView)`` protocol: forcing a keyed strategy through the
-dynamic path must not change a single decision.
+Every discipline is additionally held to the reference oracle in
+``tests/osim/reference.py`` — the seed list queue with a stable min-scan
+— over the same enqueue, pick and clock sequence: its deque, heap or
+per-pick scan must not change a single decision.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import make_cpu_policy, make_cpu_scheduler
-from repro.osim import PolicyScheduler, Task
+from repro.osim import Task, make_cpu_scheduler
+from tests.osim.reference import reference_scheduler
 
 # An op sequence: True = enqueue the next pending task, False = pick.
 OPS = st.lists(st.booleans(), min_size=1, max_size=80)
 PRIORITIES = st.lists(st.integers(0, 5), min_size=80, max_size=80)
+# Few levels and many same-instant enqueues, so equal keys are common
+# and the arrival-order tie-break is exercised too.
+LEVELS = st.lists(st.integers(0, 2), min_size=40, max_size=40)
+DEADLINES = st.lists(st.one_of(st.none(), st.integers(0, 5)),
+                     min_size=40, max_size=40)
+# Seconds the clock moves before each op: mostly none, else short of,
+# at, or past the default 50 ms aging step.
+ADVANCES = st.sampled_from([0.0, 0.0, 5e-3, 50e-3, 120e-3])
 
 ALL_NAMES = ["fifo", "rr", "priority", "edf", "aged-priority"]
 
 
-def _tasks(priorities):
-    return [Task(f"t{i}", [], priority=p, deadline=float(i))
-            for i, p in enumerate(priorities)]
+def _tasks(priorities, deadlines=None):
+    if deadlines is None:
+        deadlines = [float(i) for i in range(len(priorities))]
+    return [Task(f"t{i}", [], priority=p, deadline=d)
+            for i, (p, d) in enumerate(zip(priorities, deadlines))]
 
 
 def _drive(scheduler, ops, tasks):
@@ -79,17 +91,35 @@ class TestDegeneracy:
         assert rr.quantum(t) == fifo.quantum(t) == float("inf")
 
 
-class TestFastPathEquivalence:
-    @given(st.sampled_from(["priority", "edf"]), OPS, PRIORITIES)
-    @settings(max_examples=80)
-    def test_heap_path_matches_pure_pick(self, name, ops, priorities):
-        tasks = _tasks(priorities)
-        fast = make_cpu_scheduler(name)
-        slow_policy = make_cpu_policy(name)
-        # Force the generic pure-pick path: same key, no heap.
-        slow_policy.order = "dynamic"
-        slow = PolicyScheduler(slow_policy)
-        assert _drive(fast, ops, tasks) == _drive(slow, ops, list(tasks))
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    @given(st.lists(st.tuples(st.booleans(), ADVANCES), min_size=1,
+                    max_size=40),
+           LEVELS, DEADLINES)
+    @settings(max_examples=100)
+    def test_discipline_matches_reference(self, name, ops, priorities,
+                                          deadlines):
+        tasks = _tasks(priorities, deadlines)
+        now = 0.0
+        scheduler = make_cpu_scheduler(name)
+        oracle = reference_scheduler(name)
+        scheduler.bind_clock(lambda: now)
+        oracle.bind_clock(lambda: now)
+        pending = list(tasks)
+        for enqueue, advance in ops:
+            now += advance
+            if enqueue and pending:
+                task = pending.pop(0)
+                scheduler.enqueue(task)
+                oracle.enqueue(task)
+            else:
+                assert scheduler.pick() is oracle.pick()
+            assert len(scheduler) == len(oracle)
+        while len(oracle):
+            now += 20e-3
+            assert scheduler.pick() is oracle.pick()
+        assert scheduler.pick() is None
+        assert scheduler.quantum(tasks[0]) == oracle.quantum(tasks[0])
 
 
 class TestNoStarvation:

@@ -305,7 +305,7 @@ class TestInvariantUnits:
 
 
 class TestSimulateIntegration:
-    """The facade-level wiring (``VirtualFpga.simulate(audit=...)``)."""
+    """The facade-level wiring: an auditor on the run's ``bus``."""
 
     def make_vf(self):
         from repro.core import VirtualFpga
@@ -324,9 +324,11 @@ class TestSimulateIntegration:
 
     def test_simulate_audit_clean(self):
         vf = self.make_vf()
-        vf.simulate(self.tasks(vf), policy="dynamic", audit="strict")
-        assert vf.last_auditor is not None
-        assert vf.last_auditor.finish().ok
+        bus = EventBus()
+        auditor = Auditor(bus, mode="strict", clb_capacity=vf.arch.n_clbs)
+        vf.simulate(self.tasks(vf), policy="dynamic", bus=bus)
+        assert auditor.finish().ok
+        assert auditor.n_events > 0
 
     def test_kernel_op_deadline_watchdog(self):
         """A stuck service trips the kernel's fail-fast deadline instead

@@ -321,13 +321,13 @@ class TestSlo:
 
 
 class TestBenchDiff:
-    def make_bench(self, tmp_path, name, wall, events=1000):
+    def make_bench(self, tmp_path, name, wall, events=1000, makespan=0.5):
         import json
         doc = {
             "experiment": "demo",
             "runs": [{
                 "policy": "dynamic", "policy_kw": {},
-                "wall_seconds": wall, "makespan": 0.5,
+                "wall_seconds": wall, "makespan": makespan,
                 "mean_turnaround": 0.1, "useful_fraction": 0.4,
                 "telemetry": {"n_events": events},
             }],
@@ -363,6 +363,15 @@ class TestBenchDiff:
         b = self.make_bench(tmp_path, "b.json", wall=1.0, events=700)
         assert main(["bench-diff", a, b]) == 1
         assert "telemetry.n_events" in capsys.readouterr().out
+
+    def test_headline_drift_fails_at_zero(self, tmp_path, capsys):
+        """Seeded simulation results gate like event counts: a moved
+        makespan fails even when every event count is unchanged."""
+        a = self.make_bench(tmp_path, "a.json", wall=1.0)
+        b = self.make_bench(tmp_path, "b.json", wall=1.0, makespan=0.49)
+        assert main(["bench-diff", a, b, "--fail-on", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "makespan" in out and "REGRESSED" in out
 
     def test_fail_on_threshold(self, tmp_path, capsys):
         a = self.make_bench(tmp_path, "a.json", wall=1.0)
