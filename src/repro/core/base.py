@@ -123,7 +123,7 @@ class VfpgaServiceBase(FpgaService):
     def attach(self, kernel) -> None:
         super().attach(kernel)
         self.sim = kernel.sim
-        self._port = Resource(self.sim, capacity=1)
+        self._port = Resource(self.sim)
         self.bus = kernel.bus
         self._metrics_recorder.attach(self.bus)
         # Device-level port occupancy: traffic that bypasses the charging

@@ -93,7 +93,7 @@ class MergedResidentService(VfpgaServiceBase):
             timing = self.fpga.load(entry.name, bitstream,
                                     mode=self.load_mode, image=image)
             self.boot_load_time += timing.seconds
-            self._locks[entry.name] = Resource(self.sim, capacity=1)
+            self._locks[entry.name] = Resource(self.sim)
             if arch.supports_partial:
                 region = entry.bitstream.region
                 self._publish(Load, None, handle=entry.name,
@@ -143,7 +143,7 @@ class SoftwareOnlyService(VfpgaServiceBase):
 
     def attach(self, kernel) -> None:
         super().attach(kernel)
-        self._cpu_lock = Resource(self.sim, capacity=1)
+        self._cpu_lock = Resource(self.sim)
 
     def execute(self, task: Task, op: FpgaOp):
         entry = self.registry.get(op.config)
@@ -176,7 +176,7 @@ class NonPreemptableService(VfpgaServiceBase):
 
     def attach(self, kernel) -> None:
         super().attach(kernel)
-        self._device_lock = Resource(self.sim, capacity=1)
+        self._device_lock = Resource(self.sim)
 
     def execute(self, task: Task, op: FpgaOp):
         entry = self.registry.get(op.config)

@@ -103,7 +103,7 @@ class DynamicLoadingService(VfpgaServiceBase):
 
     def attach(self, kernel) -> None:
         super().attach(kernel)
-        self._fabric = Resource(self.sim, capacity=1)
+        self._fabric = Resource(self.sim)
 
     # ------------------------------------------------------------------
     def _ensure_resident(self, task: Optional[Task], entry):

@@ -105,7 +105,7 @@ class OverlayService(VfpgaServiceBase):
                           seconds=timing.seconds, frames=timing.n_frames,
                           clbs=r.area, shape=(r.w, r.h), mode=timing.mode,
                           frames_written=timing.written, cache=cache)
-            self._locks[name] = Resource(self.sim, capacity=1)
+            self._locks[name] = Resource(self.sim)
             x += r.w
         self._overlay_x = x
         slot_width = self.overlay_width // self.overlay_slots
@@ -114,7 +114,7 @@ class OverlayService(VfpgaServiceBase):
                 index=i,
                 x=x + i * slot_width,
                 width=slot_width,
-                lock=Resource(self.sim, capacity=1),
+                lock=Resource(self.sim),
             )
             for i in range(self.overlay_slots)
         ]

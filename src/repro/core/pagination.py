@@ -142,7 +142,7 @@ class PagedVfpgaService(VfpgaServiceBase):
 
     def attach(self, kernel) -> None:
         super().attach(kernel)
-        self._fault_lock = Resource(self.sim, capacity=1)
+        self._fault_lock = Resource(self.sim)
 
     # -- task boundary --------------------------------------------------------
     def register_task(self, task: Task) -> None:

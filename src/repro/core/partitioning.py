@@ -263,7 +263,7 @@ class FixedPartitionService(VfpgaServiceBase):
                 _Partition(
                     index=i,
                     rect=Rect(x, 0, w, height),
-                    lock=Resource(self.sim, capacity=1),
+                    lock=Resource(self.sim),
                 )
             )
             x += w
@@ -593,7 +593,7 @@ class VariablePartitionService(VfpgaServiceBase):
         res = _Resident(
             entry=entry,
             anchor=anchor,
-            lock=Resource(self.sim, capacity=1),
+            lock=Resource(self.sim),
             idle=False,
             pending_load=True,
         )

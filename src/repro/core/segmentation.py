@@ -162,7 +162,7 @@ class SegmentedVfpgaService(VfpgaServiceBase):
 
     def attach(self, kernel) -> None:
         super().attach(kernel)
-        self._fault_lock = Resource(self.sim, capacity=1)
+        self._fault_lock = Resource(self.sim)
 
     def register_task(self, task: Task) -> None:
         for name in task.configs:

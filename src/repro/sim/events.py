@@ -1,15 +1,17 @@
 """Event primitives for the discrete-event simulation kernel.
 
 The kernel follows the classic event-calendar design: an :class:`Event` is a
-one-shot occurrence with a value (or an exception) and a list of callbacks.
-Events move through three states::
+one-shot occurrence with a value and a list of callbacks.  Events move
+through three states::
 
     pending --> triggered --> processed
 
 An event becomes *triggered* when it is given a value and placed on the
 simulator calendar; it becomes *processed* once the simulator has popped it
-and run its callbacks.  Processes (see :mod:`repro.sim.process`) suspend by
-yielding events and are resumed by the event's callbacks.
+and run its callbacks.  Events only ever succeed: an error is an ordinary
+Python exception that leaves :meth:`~repro.sim.Simulator.step` at once.
+Processes (see :mod:`repro.sim.process`) suspend by yielding events and are
+resumed by the event's callbacks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import typing
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .simulator import Simulator
 
-__all__ = ["Event", "Timeout", "AnyOf", "AllOf", "SimulationError"]
+__all__ = ["Event", "Timeout", "SimulationError"]
 
 
 class SimulationError(Exception):
@@ -46,16 +48,12 @@ class Event:
     rather than a silent no-op.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "defused")
+    __slots__ = ("sim", "callbacks", "_value")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.callbacks: list | None = []
         self._value: object = _PENDING
-        self._ok: bool = True
-        #: Set to True when a failure has been handled (prevents the
-        #: simulator from escalating an unhandled failed event).
-        self.defused: bool = False
 
     # -- state ----------------------------------------------------------
     @property
@@ -69,52 +67,20 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        if not self.triggered:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
     def value(self):
-        """The event's value (or exception instance if it failed)."""
+        """The event's value."""
         if self._value is _PENDING:
             raise SimulationError("event value not yet available")
         return self._value
 
     # -- triggering ------------------------------------------------------
     def succeed(self, value=None) -> "Event":
-        """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        """Trigger the event with ``value`` at the current instant."""
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
-        self._ok = True
         self._value = value
-        self.sim._enqueue(self, delay=0.0)
+        self.sim._enqueue(self, 0.0)
         return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        The exception is thrown into every process waiting on the event.  If
-        no waiter handles it, the simulator re-raises it at the top level
-        (unless ``defused`` is set).
-        """
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"fail() needs an exception, got {exception!r}")
-        if self.triggered:
-            raise SimulationError(f"{self!r} already triggered")
-        self._ok = False
-        self._value = exception
-        self.sim._enqueue(self, delay=0.0)
-        return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (chaining helper)."""
-        if self.triggered:
-            raise SimulationError(f"{self!r} already triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.sim._enqueue(self, delay=0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
@@ -135,72 +101,5 @@ class Timeout(Event):
             raise ValueError(f"negative delay {delay}")
         super().__init__(sim)
         self.delay = delay
-        self._ok = True
         self._value = value
-        sim._enqueue(self, delay=delay)
-
-
-class _Condition(Event):
-    """Base for composite events (:class:`AnyOf` / :class:`AllOf`)."""
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, sim: "Simulator", events: typing.Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = tuple(events)
-        self._count = 0
-        for ev in self.events:
-            if ev.sim is not sim:
-                raise SimulationError("all events must share one simulator")
-        if not self.events:
-            self.succeed({})
-            return
-        for ev in self.events:
-            if ev.processed:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
-
-    def _collect(self) -> dict:
-        # Only events whose callbacks have run count as "happened": a
-        # Timeout is *triggered* (has a value) from creation, but it has not
-        # occurred until the simulator processes it.
-        return {
-            ev: ev._value for ev in self.events
-            if ev.processed and ev._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any constituent event triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event.defused = True
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Triggers once all constituent events have triggered."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event.defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._count == len(self.events):
-            self.succeed(self._collect())
+        sim._enqueue(self, delay)

@@ -1,25 +1,21 @@
-"""Shared-resource primitives built on the event kernel.
+"""The shared-resource primitive built on the event kernel.
 
-Provides the two constructs the simulated OS needs:
-
-* :class:`Resource` — a capacity-limited resource with a FIFO (optionally
-  priority-ordered) wait queue.  ``request()`` returns an event that triggers
-  when a slot is granted; ``release()`` frees a slot.
-* :class:`Store` — an unbounded (or bounded) FIFO of Python objects with
-  blocking ``get``/``put``, used for message queues between OS components.
+:class:`Resource` is a FIFO mutex: at most one granted request at a time,
+and waiters are granted oldest first.  ``request()`` returns an event that
+triggers when the lock is granted; ``release()`` hands it to the next
+waiter.  The VFPGA services guard their configuration port, partitions and
+fault paths with it.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Deque, List
 
 from .events import Event, SimulationError
 from .simulator import Simulator
 
-__all__ = ["Resource", "Request", "Store"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -33,25 +29,18 @@ class Request(Event):
         # released on exit
     """
 
-    __slots__ = ("resource", "priority", "key")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.sim)
         self.resource = resource
-        self.priority = priority
-        self.key = (priority, next(resource._ticket))
-        heapq.heappush(resource._waiting, self)
+        resource._waiting.append(self)
         resource._grant()
-
-    def __lt__(self, other: "Request") -> bool:
-        """Wait-queue heap order: priority, then arrival (keys are unique)."""
-        return self.key < other.key
 
     def cancel(self) -> None:
         """Withdraw an ungranted request (granted requests must release)."""
         if self in self.resource._waiting:
             self.resource._waiting.remove(self)
-            heapq.heapify(self.resource._waiting)
         elif self in self.resource.users:
             raise SimulationError("cancel() on a granted request; use release()")
 
@@ -66,24 +55,17 @@ class Request(Event):
 
 
 class Resource:
-    """Capacity-limited shared resource with an ordered wait queue.
+    """A FIFO mutex: one holder at a time, waiters served oldest first."""
 
-    Lower ``priority`` values are served first; ties are FIFO.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.capacity = capacity
+        #: The granted request, if any (a list of at most one).
         self.users: List[Request] = []
-        #: Ungranted requests, a heap on ``Request.key``.
-        self._waiting: List[Request] = []
-        self._ticket = itertools.count()
+        self._waiting: Deque[Request] = deque()
 
     @property
     def count(self) -> int:
-        """Number of granted (active) requests."""
+        """Number of granted requests (0 or 1)."""
         return len(self.users)
 
     @property
@@ -91,68 +73,19 @@ class Resource:
         """Number of requests still waiting."""
         return len(self._waiting)
 
-    def request(self, priority: int = 0) -> Request:
-        """Claim one slot; the returned event triggers when granted."""
-        return Request(self, priority=priority)
+    def request(self) -> Request:
+        """Claim the lock; the returned event triggers when granted."""
+        return Request(self)
 
     def release(self, request: Request) -> None:
-        """Return a previously granted slot."""
-        try:
-            self.users.remove(request)
-        except ValueError:
-            raise SimulationError("release() of a request that is not held") from None
+        """Return the lock and grant it to the oldest waiter."""
+        if request not in self.users:
+            raise SimulationError("release() of a request that is not held")
+        self.users.clear()
         self._grant()
 
     def _grant(self) -> None:
-        while self._waiting and len(self.users) < self.capacity:
-            req = heapq.heappop(self._waiting)
+        if self._waiting and not self.users:
+            req = self._waiting.popleft()
             self.users.append(req)
             req.succeed(req)
-
-
-class Store:
-    """Blocking FIFO of arbitrary items.
-
-    ``put`` blocks while the store is full (if bounded); ``get`` blocks while
-    it is empty.  Both return events.
-    """
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> Event:
-        ev = Event(self.sim)
-        self._putters.append((ev, item))
-        self._settle()
-        return ev
-
-    def get(self) -> Event:
-        ev = Event(self.sim)
-        self._getters.append(ev)
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and (
-                self.capacity is None or len(self.items) < self.capacity
-            ):
-                ev, item = self._putters.popleft()
-                self.items.append(item)
-                ev.succeed(item)
-                progress = True
-            if self._getters and self.items:
-                ev = self._getters.popleft()
-                ev.succeed(self.items.popleft())
-                progress = True

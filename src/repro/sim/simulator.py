@@ -1,29 +1,24 @@
 """The discrete-event simulation calendar.
 
-:class:`Simulator` keeps a priority queue of ``(time, priority, seq, event)``
-entries.  ``seq`` is a monotone counter so that events scheduled for the same
-time are processed in insertion order (deterministic FIFO tie-breaking —
-essential for reproducible OS scheduling experiments).
+:class:`Simulator` keeps a heap of ``(time, seq, event)`` entries.
+``seq`` is a monotone counter so that events scheduled for the same time are
+processed in insertion order (deterministic FIFO tie-breaking — essential
+for reproducible OS scheduling experiments).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from .events import AllOf, AnyOf, Event, SimulationError, Timeout
+from .events import Event, SimulationError, Timeout
 from .process import Process
 
 __all__ = ["Simulator"]
 
-#: Priority for ordinary events.
-NORMAL = 1
-#: Priority for urgent (kernel-internal) events at the same timestamp.
-URGENT = 0
-
 
 class Simulator:
-    """Deterministic discrete-event simulator.
+    """Deterministic discrete-event simulator; time starts at 0.
 
     Examples
     --------
@@ -38,29 +33,18 @@ class Simulator:
     [5.0]
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: Optional per-step telemetry hook ``fn(now, queue_depth)`` —
         #: see :meth:`set_step_hook`.
         self._step_hook: Optional[Callable[[float, int], None]] = None
 
-    # -- inspection -------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between events)."""
-        return self._active_process
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the calendar is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
@@ -75,28 +59,19 @@ class Simulator:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # -- scheduling --------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float, priority: int = NORMAL) -> None:
+    def _enqueue(self, event: Event, delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
 
-    def schedule_callback(
-        self, delay: float, fn: Callable[[], None], priority: int = NORMAL
-    ) -> Event:
+    def schedule_callback(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` time units; returns the trigger event."""
         ev = Event(self)
-        ev._ok = True
         ev._value = None
         ev.callbacks.append(lambda _ev: fn())
-        self._enqueue(ev, delay=delay, priority=priority)
+        self._enqueue(ev, delay)
         return ev
 
     # -- telemetry ---------------------------------------------------------
@@ -113,10 +88,11 @@ class Simulator:
 
     # -- main loop ---------------------------------------------------------
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one event.  An exception raised by a callback
+        (a process body included) propagates from here unchanged."""
         if not self._queue:
             raise SimulationError("calendar is empty")
-        time, _prio, _seq, event = heapq.heappop(self._queue)
+        time, _seq, event = heapq.heappop(self._queue)
         if time < self._now:  # pragma: no cover - guarded by _enqueue
             raise SimulationError("time went backwards")
         self._now = time
@@ -125,32 +101,15 @@ class Simulator:
             raise SimulationError(f"{event!r} processed twice")
         for cb in callbacks:
             cb(event)
-        if not event._ok and not event.defused:
-            # An event failed and nobody was listening: escalate.
-            raise event._value
         if self._step_hook is not None:
             self._step_hook(self._now, len(self._queue))
 
-    def run(self, until: float | Event | None = None) -> None:
-        """Run until the calendar empties, ``until`` time passes, or an
-        ``until`` event is processed.
+    def run(self, until: float | None = None) -> None:
+        """Run until the calendar empties or ``until`` time passes.
 
         Passing a time equal to ``now`` is allowed and processes all events
         scheduled at the current instant.
         """
-        if isinstance(until, Event):
-            stop = until
-            if stop.processed:
-                return
-            sentinel: list = []
-            stop.callbacks.append(lambda ev: sentinel.append(ev))
-            while self._queue and not sentinel:
-                self.step()
-            if not sentinel and not stop.processed:
-                raise SimulationError(
-                    "run(until=event): calendar emptied before event fired"
-                )
-            return
         horizon = float("inf") if until is None else float(until)
         if horizon < self._now:
             raise SimulationError(f"until={horizon} is in the past (now={self._now})")

@@ -35,30 +35,35 @@ def test_same_time_events_fire_in_insertion_order(delays):
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.floats(0.01, 10)),
-                min_size=1, max_size=20),
-       st.integers(1, 3))
+                min_size=1, max_size=20))
 @settings(max_examples=50)
-def test_resource_never_exceeds_capacity(jobs, capacity):
+def test_resource_never_exceeds_capacity(jobs):
+    """Mutual exclusion: hold intervals never overlap, and the lock is
+    granted in request order."""
     from repro.sim import Resource
 
     sim = Simulator()
-    res = Resource(sim, capacity=capacity)
-    peak = [0]
+    res = Resource(sim)
+    requested, held = [], []
 
-    def worker(delay, hold):
+    def worker(i, delay, hold):
         yield sim.timeout(delay)
         req = res.request()
+        requested.append(i)
         yield req
-        peak[0] = max(peak[0], res.count)
-        assert res.count <= capacity
+        assert res.users == [req]
+        start = sim.now
         yield sim.timeout(hold)
+        held.append((i, start, sim.now))
         res.release(req)
 
-    for delay, hold in jobs:
-        sim.process(worker(delay, hold))
+    for i, (delay, hold) in enumerate(jobs):
+        sim.process(worker(i, delay, hold))
     sim.run()
     assert res.count == 0
-    assert peak[0] <= capacity
+    assert [i for i, _start, _end in held] == requested
+    for (_, _, end), (_, start, _) in zip(held, held[1:]):
+        assert end <= start
 
 
 @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=25),
@@ -81,26 +86,3 @@ def test_simulation_is_deterministic(delays, seed):
 
     assert trace() == trace()
 
-
-@given(st.lists(st.text(alphabet="ab", min_size=1, max_size=3),
-                min_size=1, max_size=20))
-def test_store_is_fifo(items):
-    from repro.sim import Store
-
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for item in items:
-            yield store.put(item)
-
-    def consumer():
-        for _ in items:
-            x = yield store.get()
-            got.append(x)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == list(items)

@@ -20,14 +20,11 @@ class TestEvent:
         ev = sim.event()
         with pytest.raises(SimulationError):
             _ = ev.value
-        with pytest.raises(SimulationError):
-            _ = ev.ok
 
     def test_succeed_sets_value(self, sim):
         ev = sim.event()
         ev.succeed(42)
         assert ev.triggered
-        assert ev.ok
         assert ev.value == 42
 
     def test_succeed_none_still_triggered(self, sim):
@@ -42,17 +39,6 @@ class TestEvent:
         with pytest.raises(SimulationError):
             ev.succeed(2)
 
-    def test_fail_requires_exception(self, sim):
-        ev = sim.event()
-        with pytest.raises(TypeError):
-            ev.fail("not an exception")
-
-    def test_fail_then_succeed_raises(self, sim):
-        ev = sim.event()
-        ev.fail(RuntimeError("boom"))
-        with pytest.raises(SimulationError):
-            ev.succeed(1)
-
     def test_callbacks_run_on_process(self, sim):
         ev = sim.event()
         seen = []
@@ -62,26 +48,6 @@ class TestEvent:
         sim.run()
         assert seen == ["x"]
         assert ev.processed
-
-    def test_unhandled_failure_escalates(self, sim):
-        ev = sim.event()
-        ev.fail(ValueError("unseen"))
-        with pytest.raises(ValueError, match="unseen"):
-            sim.run()
-
-    def test_defused_failure_does_not_escalate(self, sim):
-        ev = sim.event()
-        ev.fail(ValueError("defused"))
-        ev.defused = True
-        sim.run()  # must not raise
-
-    def test_trigger_copies_state(self, sim):
-        src = sim.event()
-        dst = sim.event()
-        src.succeed(7)
-        dst.trigger(src)
-        sim.run()
-        assert dst.value == 7
 
 
 class TestTimeout:
@@ -108,41 +74,3 @@ class TestTimeout:
         sim.run()
         assert order == [0, 1, 2, 3, 4]
 
-
-class TestConditions:
-    def test_all_of_waits_for_all(self, sim):
-        a, b = sim.timeout(1, "a"), sim.timeout(4, "b")
-        cond = sim.all_of([a, b])
-        sim.run()
-        assert cond.triggered
-        assert cond.value == {a: "a", b: "b"}
-        assert sim.now == 4
-
-    def test_any_of_fires_on_first(self, sim):
-        a, b = sim.timeout(1, "a"), sim.timeout(4, "b")
-        cond = sim.any_of([a, b])
-        fired_at = []
-        cond.callbacks.append(lambda e: fired_at.append(sim.now))
-        sim.run()
-        assert fired_at == [1]
-        assert a in cond.value
-        assert b not in cond.value
-
-    def test_empty_all_of_fires_immediately(self, sim):
-        cond = sim.all_of([])
-        sim.run()
-        assert cond.value == {}
-
-    def test_all_of_propagates_failure(self, sim):
-        a = sim.event()
-        cond = sim.all_of([a, sim.timeout(1)])
-        cond.defused = True
-        a.fail(RuntimeError("dead"))
-        sim.run()
-        assert not cond.ok
-        assert isinstance(cond.value, RuntimeError)
-
-    def test_cross_simulator_rejected(self, sim):
-        other = Simulator()
-        with pytest.raises(SimulationError):
-            sim.all_of([other.timeout(1)])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 
 
 @pytest.fixture
@@ -24,37 +24,23 @@ def test_process_advances_time(sim):
     assert log == [2, 5]
 
 
-def test_process_return_value_is_event_value(sim):
-    def body():
-        yield sim.timeout(1)
-        return "result"
-
-    p = sim.process(body())
-    sim.run()
-    assert p.value == "result"
-
-
-def test_join_on_child_process(sim):
-    def child():
-        yield sim.timeout(7)
-        return 99
-
-    def parent(out):
-        got = yield sim.process(child())
-        out.append((sim.now, got))
-
-    out = []
-    sim.process(parent(out))
-    sim.run()
-    assert out == [(7, 99)]
-
-
 def test_yield_non_event_raises(sim):
     def body():
         yield 42
 
     sim.process(body())
     with pytest.raises(SimulationError, match="expected an Event"):
+        sim.run()
+
+
+def test_yield_event_of_another_simulator_raises(sim):
+    other = Simulator()
+
+    def body():
+        yield other.timeout(1)
+
+    sim.process(body())
+    with pytest.raises(SimulationError, match="another simulator"):
         sim.run()
 
 
@@ -68,21 +54,37 @@ def test_exception_in_process_escalates(sim):
         sim.run()
 
 
-def test_exception_caught_by_joiner(sim):
-    def child():
+def test_exception_leaves_run_at_the_instant_it_is_raised(sim):
+    """Events already due at that instant stay on the calendar."""
+    ran = []
+
+    def failing():
+        yield sim.timeout(5)
+        raise KeyError("inner")
+
+    def bystander():
+        yield sim.timeout(5)  # queued after the failing process's timeout
+        ran.append(sim.now)
+
+    sim.process(failing())
+    sim.process(bystander())
+    with pytest.raises(KeyError):
+        sim.run()
+    assert sim.now == 5
+    assert ran == []
+
+
+def test_finished_process_costs_no_step(sim):
+    """One step starts the process, one resumes it; finishing adds none."""
+    steps = []
+    sim.set_step_hook(lambda now, depth: steps.append(now))
+
+    def body():
         yield sim.timeout(1)
-        raise ValueError("child died")
 
-    def parent(out):
-        try:
-            yield sim.process(child())
-        except ValueError as exc:
-            out.append(str(exc))
-
-    out = []
-    sim.process(parent(out))
+    sim.process(body())
     sim.run()
-    assert out == ["child died"]
+    assert steps == [0.0, 1.0]
 
 
 def test_yield_already_processed_event(sim):
@@ -98,92 +100,6 @@ def test_yield_already_processed_event(sim):
     sim.process(body(out))
     sim.run()
     assert out == [(5, "early")]
-
-
-class TestInterrupt:
-    def test_interrupt_resumes_with_exception(self, sim):
-        log = []
-
-        def victim():
-            try:
-                yield sim.timeout(100)
-            except Interrupt as intr:
-                log.append((sim.now, intr.cause))
-
-        def attacker(p):
-            yield sim.timeout(3)
-            p.interrupt("preempted")
-
-        p = sim.process(victim())
-        sim.process(attacker(p))
-        sim.run()
-        assert log == [(3, "preempted")]
-
-    def test_interrupt_detaches_from_target(self, sim):
-        resumptions = []
-
-        def victim():
-            try:
-                yield sim.timeout(10)
-                resumptions.append("timeout")
-            except Interrupt:
-                resumptions.append("interrupt")
-                yield sim.timeout(100)
-                resumptions.append("after")
-
-        def attacker(p):
-            yield sim.timeout(1)
-            p.interrupt()
-
-        p = sim.process(victim())
-        sim.process(attacker(p))
-        sim.run()
-        # The original timeout at t=10 must NOT resume the victim again.
-        assert resumptions == ["interrupt", "after"]
-
-    def test_interrupt_finished_process_raises(self, sim):
-        def body():
-            yield sim.timeout(1)
-
-        p = sim.process(body())
-        sim.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_interrupt_can_continue_working(self, sim):
-        done = []
-
-        def victim():
-            remaining = 10.0
-            start = sim.now
-            try:
-                yield sim.timeout(remaining)
-            except Interrupt:
-                remaining -= sim.now - start
-                yield sim.timeout(remaining)
-            done.append(sim.now)
-
-        def attacker(p):
-            yield sim.timeout(4)
-            p.interrupt()
-
-        p = sim.process(victim())
-        sim.process(attacker(p))
-        sim.run()
-        assert done == [10.0]
-
-    def test_unhandled_interrupt_escalates(self, sim):
-        def victim():
-            yield sim.timeout(100)
-
-        def attacker(p):
-            yield sim.timeout(1)
-            p.interrupt("kill")
-
-        p = sim.process(victim())
-        sim.process(attacker(p))
-        with pytest.raises(Interrupt):
-            sim.run()
 
 
 def test_many_processes_deterministic_order(sim):

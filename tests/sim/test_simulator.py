@@ -10,19 +10,8 @@ def sim():
     return Simulator()
 
 
-def test_initial_time(sim):
-    assert sim.now == 0.0
-    assert Simulator(start_time=100).now == 100.0
-
-
-def test_peek_empty_is_inf(sim):
-    assert sim.peek() == float("inf")
-
-
-def test_peek_returns_next_time(sim):
-    sim.timeout(5)
-    sim.timeout(2)
-    assert sim.peek() == 2
+def test_initial_time():
+    assert Simulator().now == 0.0
 
 
 def test_step_on_empty_raises(sim):
@@ -54,26 +43,6 @@ def test_run_until_past_raises(sim):
         sim.run(until=5)
 
 
-def test_run_until_event(sim):
-    marker = sim.timeout(7)
-    sim.timeout(100)
-    sim.run(until=marker)
-    assert sim.now == 7
-
-
-def test_run_until_event_never_fires_raises(sim):
-    ev = sim.event()
-    sim.timeout(3)
-    with pytest.raises(SimulationError, match="calendar emptied"):
-        sim.run(until=ev)
-
-
-def test_run_until_already_processed_event(sim):
-    ev = sim.timeout(1)
-    sim.run()
-    sim.run(until=ev)  # no-op, must not raise
-
-
 def test_schedule_callback(sim):
     calls = []
     sim.schedule_callback(4, lambda: calls.append(sim.now))
@@ -99,16 +68,3 @@ def test_determinism_across_runs():
 
     assert trace() == trace()
 
-
-def test_active_process_visible_during_resume(sim):
-    seen = []
-
-    def body():
-        seen.append(sim.active_process)
-        yield sim.timeout(1)
-        seen.append(sim.active_process)
-
-    p = sim.process(body())
-    sim.run()
-    assert seen == [p, p]
-    assert sim.active_process is None
