@@ -12,7 +12,7 @@ local distribution), and the advantage widens with device size — exactly
 the paper's rationale.
 """
 
-from _harness import emit, monotone_nondecreasing
+from _harness import emit, monotone_nondecreasing, record_run
 
 from repro.analysis import format_table, sweep
 from repro.cad import NetSpec, Router, RoutingGraph
@@ -53,6 +53,15 @@ def test_e15_long_lines(benchmark):
     result = benchmark.pedantic(
         lambda: sweep("side", sides, run_point), rounds=1, iterations=1
     )
+    # One static-model row per device side (no wall clock), so ``repro
+    # bench-diff`` gates every delay against the baseline.
+    for row in result.rows:
+        record_run({
+            "policy": "long_lines",
+            "policy_kw": {"side": row["side"]},
+            "long_lines": {k: row[k] for k in
+                           ("no_long_ns", "with_long_ns", "speedup")},
+        })
     emit("e15_long_lines", format_table(
         result.rows,
         title="E15: cross-chip net delay, segmented-only vs long lines",

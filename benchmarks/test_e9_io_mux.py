@@ -13,7 +13,7 @@ Two views:
   transfer time dilates by the same factor.
 """
 
-from _harness import emit, monotone_nondecreasing, run_system
+from _harness import emit, monotone_nondecreasing, record_run, run_system
 
 from repro.analysis import format_series, format_table, sweep
 from repro.core import ConfigRegistry, PinMultiplexer
@@ -67,6 +67,14 @@ def test_e9_io_mux(benchmark):
         lambda: sweep("ratio", ratios, run_static), rounds=1, iterations=1
     )
     dynamic = sweep("tasks", [1, 2, 3, 4], run_system_point)
+    # One static-model row per pin ratio (no wall clock), after the four
+    # system runs, so ``repro bench-diff`` gates the model too.
+    for row in static.rows:
+        record_run({
+            "policy": "mux",
+            "policy_kw": {"ratio": row["ratio"]},
+            "mux": {k: row[k] for k in ("factor", "transfer_ms", "per_pin_bw")},
+        })
     text = format_table(
         static.rows,
         title="E9a: static pin-multiplexing model (100 physical pins, "

@@ -602,32 +602,12 @@ def cmd_bench_diff(args) -> int:
 
 
 def cmd_experiments(_args) -> int:
-    index = [
-        ("E1", "dynamic loading vs configuration time", "test_e1_dynamic_loading.py"),
-        ("E2", "merged trivial solution vs dynamic loading", "test_e2_merged_vs_dynamic.py"),
-        ("E3", "non-preemptable FPGA forces FIFO", "test_e3_nonpreemptable.py"),
-        ("E4", "partitioning reduces loads", "test_e4_partitioning.py"),
-        ("E5", "fragmentation, starvation, GC", "test_e5_fragmentation_gc.py"),
-        ("E6", "sequential preemption: rollback vs save/restore", "test_e6_state_saving.py"),
-        ("E7", "overlaying hot functions", "test_e7_overlay.py"),
-        ("E8", "pagination vs segmentation; replacement", "test_e8_paging_segmentation.py"),
-        ("E9", "I/O pin multiplexing", "test_e9_io_mux.py"),
-        ("E10", "cost-performance frontier", "test_e10_cost_frontier.py"),
-        ("E11", "§5 application scenarios", "test_e11_applications.py"),
-        ("E12", "partial vs full-serial port", "test_e12_config_port_ablation.py"),
-        ("E13", "CAD-flow quality ablation", "test_e13_cad_ablation.py"),
-        ("E14", "lazy vs eager loading", "test_e14_eager_loading.py"),
-        ("E15", "long-distance busses", "test_e15_long_lines.py"),
-        ("E16", "allocator fit policies", "test_e16_fit_policies.py"),
-        ("E17", "multi-board virtual computer", "test_e17_multi_board.py"),
-        ("E18", "1-D columns vs 2-D rectangles", "test_e18_2d_partitioning.py"),
-        ("E19", "configuration scrubbing", "test_e19_scrubbing.py"),
-        ("E20", "saturation knee and goodput under SLO", "test_e20_saturation.py"),
-    ]
+    from .telemetry.benchdiff import EXPERIMENTS
+
     rows = [
-        {"id": eid, "claim": claim,
-         "regenerate": f"pytest benchmarks/{path} --benchmark-only -s"}
-        for eid, claim, path in index
+        {"id": eid, "claim": claim, "section": section,
+         "regenerate": f"pytest benchmarks/{test} --benchmark-only -s"}
+        for eid, claim, section, test in EXPERIMENTS
     ]
     print(format_table(rows, title="experiment index (details: EXPERIMENTS.md)"))
     return 0

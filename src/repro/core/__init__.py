@@ -7,8 +7,8 @@ Every mechanism of Fornaciari & Piuri's Virtual FPGA is a drop-in
 paper mechanism        implementation
 ====================  =============================================
 trivial merged config  :class:`MergedResidentService`
-non-preemptable use    :class:`NonPreemptableService`
 dynamic loading (§3)   :class:`DynamicLoadingService`
+non-preemptable use    :class:`DynamicLoadingService`, no fabric slice
 partitioning (§4)      :class:`FixedPartitionService`,
                        :class:`VariablePartitionService`
 overlaying (§2)        :class:`OverlayService`
@@ -24,12 +24,7 @@ Use :class:`VirtualFpga` for the high-level API and
 
 from .base import VfpgaServiceBase
 from .bitcache import BitstreamCache, bitstream_digest
-from .baselines import (
-    MergedResidentService,
-    NonPreemptableService,
-    SoftwareOnlyService,
-    shelf_pack,
-)
+from .baselines import MergedResidentService, SoftwareOnlyService, shelf_pack
 from .dispatch import (
     AffinityDispatch,
     BoardDispatchPolicy,
@@ -39,7 +34,7 @@ from .dispatch import (
     RoundRobinDispatch,
     make_dispatch,
 )
-from .dynamic_loading import DynamicLoadingService
+from .dynamic_loading import DynamicLoadingService, FABRIC_SCHEDULERS
 from .errors import (
     AdmissionError,
     CapacityError,
@@ -89,15 +84,6 @@ from .preemption import (
     SaveRestore,
 )
 from .rect_alloc import RectAllocator
-from .scheduling import (
-    CostAwareFabric,
-    FABRIC_SCHEDULERS,
-    FabricDecision,
-    FabricSchedulerPolicy,
-    FixedQuantumFabric,
-    SwitchContext,
-    make_fabric_scheduler,
-)
 from .scrubber import Scrubber, UpsetInjector, UpsetRecord
 from .registry import ConfigEntry, ConfigRegistry, synthetic_bitstream
 from .segmentation import (
@@ -124,15 +110,11 @@ __all__ = [
     "ColumnWorstFit",
     "ConfigEntry",
     "ConfigRegistry",
-    "CostAwareFabric",
     "DISPATCH_POLICIES",
     "DynamicLoadingService",
     "FABRIC_SCHEDULERS",
-    "FabricDecision",
-    "FabricSchedulerPolicy",
     "FifoReplacement",
     "FixedPartitionService",
-    "FixedQuantumFabric",
     "LeastBusyDispatch",
     "LeastOccupancyDispatch",
     "LruReplacement",
@@ -140,7 +122,6 @@ __all__ = [
     "MruReplacement",
     "MultiDeviceService",
     "MuxedTransfer",
-    "NonPreemptableService",
     "OverlayService",
     "PLACEMENT_STRATEGIES",
     "PagedCircuit",
@@ -165,7 +146,6 @@ __all__ = [
     "SkylinePlacement",
     "SoftwareOnlyService",
     "StateAccessError",
-    "SwitchContext",
     "UnknownConfigError",
     "UpsetInjector",
     "UpsetRecord",
@@ -176,7 +156,6 @@ __all__ = [
     "access_trace",
     "bitstream_digest",
     "make_dispatch",
-    "make_fabric_scheduler",
     "make_paged_circuit",
     "make_placement",
     "make_preemption_policy",

@@ -434,7 +434,7 @@ class VfpgaServiceBase(FpgaService):
     def switch_reload_cost(self, entry: ConfigEntry) -> float:
         """Price the victim's eventual reload after a preemption.
 
-        The fabric scheduling engine's reconfiguration term: config-port
+        The fabric verdict's reconfiguration term: config-port
         seconds to make ``entry`` resident again, under this service's
         :attr:`load_mode`.  Under ``delta``/``auto`` the estimate diffs
         the resident :class:`~repro.device.ConfigRam` digests of the

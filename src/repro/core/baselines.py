@@ -7,9 +7,10 @@
 * :class:`SoftwareOnlyService` — don't use the FPGA at all: run every
   operation on the CPU at a configurable slowdown (the paper's "software
   programming of the algorithm should be considered" escape hatch, §4).
-* :class:`NonPreemptableService` — the paper's drastic option (§4): one
-  circuit owns the whole device until its operation completes; waiters
-  queue FIFO.
+
+The paper's third baseline, the non-preemptable device (§4), is
+:class:`~repro.core.dynamic_loading.DynamicLoadingService` without a
+fabric time slice: ``make_service("nonpreemptable")``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..osim import FpgaOp, Task
 from ..sim import Resource
-from ..telemetry import Exec, Hit, Load, Miss, OpStart
+from ..telemetry import Exec, Hit, Load, OpStart
 from .base import VfpgaServiceBase
 from .errors import CapacityError
 from .registry import ConfigEntry, ConfigRegistry
@@ -26,7 +27,6 @@ from .registry import ConfigEntry, ConfigRegistry
 __all__ = [
     "MergedResidentService",
     "SoftwareOnlyService",
-    "NonPreemptableService",
     "shelf_pack",
 ]
 
@@ -156,45 +156,3 @@ class SoftwareOnlyService(VfpgaServiceBase):
             self._publish(Exec, task, handle="cpu", seconds=seconds)
             yield self.sim.timeout(seconds)
             task.accounting.cpu_time += seconds
-
-
-class NonPreemptableService(VfpgaServiceBase):
-    """Whole-device mutual exclusion, run-to-completion (§4).
-
-    The resource "cannot be released for subsequent reassignment to other
-    tasks until the task holding it has not completed the algorithm";
-    waiters queue FIFO — the serialization experiment E3 quantifies the
-    parallelism this destroys.  The only optimization is configuration
-    affinity: if the requested circuit is still resident from last time,
-    the download is skipped.
-    """
-
-    def __init__(self, registry: ConfigRegistry, **kw) -> None:
-        super().__init__(registry, **kw)
-        self._device_lock: Optional[Resource] = None
-        self._resident_config: Optional[str] = None
-
-    def attach(self, kernel) -> None:
-        super().attach(kernel)
-        self._device_lock = Resource(self.sim)
-
-    def execute(self, task: Task, op: FpgaOp):
-        entry = self.registry.get(op.config)
-        self._check_fits_device(entry)
-        t0 = self.sim.now
-        with self._device_lock.request() as req:
-            yield req
-            self._charge_wait(task, t0)
-            self._publish(OpStart, task, config=op.config)
-            if self._resident_config != op.config:
-                self._publish(Miss, task, handle=op.config)
-                if self._resident_config is not None:
-                    yield from self._charge_unload(task, self._resident_config)
-                    self._resident_config = None
-                yield from self._charge_load(task, entry, (0, 0))
-                self._resident_config = op.config
-            else:
-                self._publish(Hit, task, handle=op.config)
-            task.current_config = op.config
-            yield from self._charge_io(task, entry, op)
-            yield from self._charge_exec(task, entry, self.op_seconds(entry, op))

@@ -15,14 +15,14 @@ Preemption semantics follow the paper exactly, delegated to a
 
 ``fpga_time_slice=None`` disables preemption entirely: operations run to
 completion once started, but every operation may still require a
-download (the difference from :class:`NonPreemptableService` is that the
-queue is serviced per-op rather than per-device-hold — with the default
-policy they behave identically; the class exists so policies compose).
+download.  That is the paper's non-preemptable device (§4):
+``make_service("nonpreemptable")``.  With a slice, :func:`fabric_verdict`
+rules on whether each contended quantum boundary switches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple
 
 from ..osim import FpgaOp, Task
 from ..sim import Resource
@@ -38,13 +38,31 @@ from ..telemetry import (
 from .base import VfpgaServiceBase
 from .preemption import PreemptionPolicy, RunToCompletion
 from .registry import ConfigRegistry
-from .scheduling import (
-    FabricSchedulerPolicy,
-    SwitchContext,
-    make_fabric_scheduler,
-)
 
-__all__ = ["DynamicLoadingService"]
+__all__ = ["DynamicLoadingService", "FABRIC_SCHEDULERS", "fabric_verdict"]
+
+#: The fabric scheduling rules, by name (the CLI ``--fabric-sched`` choices).
+FABRIC_SCHEDULERS = ("fixed-quantum", "cost-aware")
+
+
+def fabric_verdict(
+    rule: str, slack: float, remaining: float, bill: float
+) -> Tuple[bool, str]:
+    """Switch the fabric at a contended quantum boundary? ``(switch, reason)``.
+
+    ``fixed-quantum`` always switches.  ``cost-aware`` switches when the
+    tightest waiter deadline ``slack`` (``inf`` = none) is under the
+    fabric seconds the resident op still needs, else when the ``bill``
+    (reload + state movement + lost progress) does not exceed them — the
+    cost model of task-based preemptive FPGA scheduling (PAPERS.md).
+    """
+    if rule == "fixed-quantum":
+        return True, "waiters"
+    if slack < remaining:
+        return True, "deadline-pressure"
+    if bill <= remaining:
+        return True, "cheap-switch"
+    return False, "bill-exceeds-benefit"
 
 
 class DynamicLoadingService(VfpgaServiceBase):
@@ -60,13 +78,11 @@ class DynamicLoadingService(VfpgaServiceBase):
     fpga_time_slice:
         Fabric quantum in seconds; ``None`` = no preemption.
     fabric_sched:
-        Fabric scheduling engine (name or
-        :class:`~repro.core.scheduling.FabricSchedulerPolicy` instance)
-        deciding *whether* a quantum-boundary preemption is worth its
-        priced cost.  The default ``fixed-quantum`` reproduces the seed
-        behavior exactly — preempt whenever anyone waits;
-        ``cost-aware`` skips switches whose reconfiguration bill
-        exceeds the fabric time they buy.
+        The :func:`fabric_verdict` rule deciding *whether* a
+        quantum-boundary preemption is worth its priced cost, by name.
+        The default ``fixed-quantum`` preempts whenever anyone waits;
+        ``cost-aware`` skips switches whose bill exceeds the fabric
+        time they buy, unless a waiter's deadline is tight.
     eager:
         Load the dispatched task's next configuration in the background
         while it is still in its CPU section — the paper's "implicitly
@@ -81,7 +97,7 @@ class DynamicLoadingService(VfpgaServiceBase):
         registry: ConfigRegistry,
         preemption: Optional[PreemptionPolicy] = None,
         fpga_time_slice: Optional[float] = None,
-        fabric_sched: Union[str, FabricSchedulerPolicy, None] = None,
+        fabric_sched: str = "fixed-quantum",
         eager: bool = False,
         **kw,
     ) -> None:
@@ -90,9 +106,10 @@ class DynamicLoadingService(VfpgaServiceBase):
         if fpga_time_slice is not None and fpga_time_slice <= 0:
             raise ValueError("fpga_time_slice must be positive or None")
         self.fpga_time_slice = fpga_time_slice
-        self.fabric_sched = make_fabric_scheduler(
-            fabric_sched if fabric_sched is not None else "fixed-quantum"
-        )
+        if fabric_sched not in FABRIC_SCHEDULERS:
+            raise ValueError(f"unknown fabric scheduler {fabric_sched!r}; "
+                             f"have {sorted(FABRIC_SCHEDULERS)}")
+        self.fabric_sched = fabric_sched
         self.eager = eager
         self.n_prefetches = 0
         self._prefetching: Optional[str] = None
@@ -156,13 +173,9 @@ class DynamicLoadingService(VfpgaServiceBase):
     def _waiter_slack(self) -> float:
         """Tightest deadline slack among tasks queued for the fabric
         (inf when nobody waiting declared a deadline)."""
-        slack = float("inf")
         now = self.sim.now
-        for waiter in self._fabric_waiters.values():
-            deadline = getattr(waiter, "deadline", None)
-            if deadline is not None:
-                slack = min(slack, deadline - now)
-        return slack
+        return min((w.deadline - now for w in self._fabric_waiters.values()
+                    if w.deadline is not None), default=float("inf"))
 
     def execute(self, task: Task, op: FpgaOp):
         entry = self.registry.get(op.config)
@@ -182,7 +195,7 @@ class DynamicLoadingService(VfpgaServiceBase):
 
         while remaining > 0 or not io_done:
             req = self._fabric.request()
-            # Visible to the fabric scheduling engine while queued, so
+            # Visible to the fabric verdict while queued, so
             # the resident op's preemption points can price our slack.
             self._fabric_waiters[task.tid] = task
             try:
@@ -222,37 +235,36 @@ class DynamicLoadingService(VfpgaServiceBase):
                         break
                     # The preemption mechanism decides first (its strict
                     # modes must raise even at uncontended boundaries);
-                    # with waiters present the fabric scheduling engine
-                    # then prices the switch and may veto it.
+                    # with waiters present the fabric verdict then prices
+                    # the switch and may veto it.
+                    done = total - remaining
                     decision = self.policy.decide(
-                        entry, self.fpga.port, progress_done=total - remaining
+                        entry, self.fpga.port, progress_done=done
                     )
                     waiting = self._fabric.queue_length
                     if waiting == 0:
                         continue  # keep the fabric
-                    ctx = SwitchContext(
-                        waiting=waiting,
-                        remaining=remaining,
-                        progress_done=total - remaining,
-                        decision=decision,
-                        waiter_slack=self._waiter_slack(),
-                        reload_cost=lambda: self.switch_reload_cost(entry),
-                    )
-                    verdict = self.fabric_sched.decide(ctx)
+                    slack = self._waiter_slack()
+                    reconfig = float(self.switch_reload_cost(entry))
+                    state = decision.state_cost if decision.allowed else 0.0
+                    lost = done if decision.allowed and not decision.keep_progress else 0.0
+                    switch, reason = fabric_verdict(
+                        self.fabric_sched, slack, remaining, reconfig + state + lost)
+                    preempt = decision.allowed and switch
                     self._publish(
                         SchedDecision, task,
-                        strategy=self.fabric_sched.name,
+                        strategy=self.fabric_sched,
                         handle=entry.name,
-                        preempt=bool(decision.allowed and verdict.preempt),
-                        reason=verdict.reason,
+                        preempt=preempt,
+                        reason=reason,
                         waiting=waiting,
-                        reconfig_cost=ctx.reconfig_cost,
-                        state_cost=ctx.state_cost,
-                        lost_cost=ctx.lost_progress,
+                        reconfig_cost=reconfig,
+                        state_cost=state,
+                        lost_cost=lost,
                         remaining=remaining,
-                        slack=ctx.waiter_slack,
+                        slack=slack,
                     )
-                    if not decision.allowed or not verdict.preempt:
+                    if not preempt:
                         continue  # keep the fabric
                     # -- preempt ------------------------------------------
                     task.accounting.n_preemptions += 1

@@ -49,7 +49,7 @@ class PreemptDecision:
     @property
     def state_cost(self) -> float:
         """Total state movement (save + restore) this decision would
-        charge — the term the fabric scheduling engine prices against
+        charge — the term the fabric verdict prices against
         the reconfiguration bill (zero unless progress is kept)."""
         return self.save_cost + self.restore_cost if self.keep_progress else 0.0
 

@@ -24,11 +24,7 @@ from ..netlist import Netlist
 from ..osim import Kernel, RoundRobin, RunStats, Scheduler, Task
 from ..sim import Simulator
 from ..telemetry import EventBus
-from .baselines import (
-    MergedResidentService,
-    NonPreemptableService,
-    SoftwareOnlyService,
-)
+from .baselines import MergedResidentService, SoftwareOnlyService
 from .dynamic_loading import DynamicLoadingService
 from .multidevice import MultiDeviceService
 from .overlay import OverlayService
@@ -62,8 +58,10 @@ def make_preemption_policy(name: Union[str, PreemptionPolicy]) -> PreemptionPoli
 def make_service(policy: str, registry: ConfigRegistry, **kw):
     """Instantiate a management policy by name.
 
-    Names: ``merged``, ``software``, ``nonpreemptable``, ``dynamic``
-    (kw: ``preemption``, ``fpga_time_slice``, ``fabric_sched``),
+    Names: ``merged``, ``software``, ``dynamic`` (kw: ``preemption``,
+    ``fpga_time_slice``, ``fabric_sched``, ``eager``), ``nonpreemptable``
+    (the ``dynamic`` service with no fabric time slice, §4, so passing
+    ``fpga_time_slice`` is a ``TypeError``),
     ``fixed`` (kw: ``partition_widths`` or ``n_partitions``,
     ``replacement``), ``variable`` (kw: ``gc``, ``hold_mode``, ``layout``,
     ``placement``, ``replacement``), ``overlay`` (kw: ``resident_names``,
@@ -77,8 +75,9 @@ def make_service(policy: str, registry: ConfigRegistry, **kw):
     ``replacement`` any :func:`~repro.core.policies.make_replacement`
     name (plus ``replacement_seed`` for stochastic policies),
     ``dispatch`` any :data:`~repro.core.dispatch.DISPATCH_POLICIES` name,
-    ``fabric_sched`` any :data:`~repro.core.scheduling.FABRIC_SCHEDULERS`
-    name (``dynamic`` only), and ``load_mode``
+    ``fabric_sched`` any
+    :data:`~repro.core.dynamic_loading.FABRIC_SCHEDULERS` name (it rules
+    only where ``dynamic`` has a fabric time slice), and ``load_mode``
     (``full``/``delta``/``auto``) selects the reconfiguration engine on
     every policy.  The CPU-side siblings live in
     :data:`~repro.osim.scheduler.CPU_SCHEDULERS` and are instantiated
@@ -90,11 +89,11 @@ def make_service(policy: str, registry: ConfigRegistry, **kw):
         return MergedResidentService(registry, **kw)
     if policy == "software":
         return SoftwareOnlyService(registry, **kw)
-    if policy == "nonpreemptable":
-        return NonPreemptableService(registry, **kw)
-    if policy == "dynamic":
+    if policy in ("dynamic", "nonpreemptable"):
         if "preemption" in kw:
             kw["preemption"] = make_preemption_policy(kw["preemption"])
+        if policy == "nonpreemptable":
+            return DynamicLoadingService(registry, fpga_time_slice=None, **kw)
         return DynamicLoadingService(registry, **kw)
     if policy == "fixed":
         if "n_partitions" in kw:

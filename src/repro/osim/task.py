@@ -136,7 +136,7 @@ class Task:
         Optional absolute completion deadline in simulation seconds.
         Purely advisory metadata: the kernel never aborts a late task.
         Deadline-aware engines read it — ``edf`` CPU scheduling orders
-        the ready queue by it, the ``cost-aware`` fabric strategy
+        the ready queue by it, the ``cost-aware`` fabric rule
         preempts under waiter deadline pressure — and the FPGA service
         publishes a ``DeadlineMiss`` event (counted in
         ``ServiceMetrics.n_deadline_misses``) when the task finishes

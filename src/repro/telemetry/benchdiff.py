@@ -19,7 +19,13 @@ turnaround, useful fraction, loads and hits) as much as event counts
 and frames written — regresses when it *deviates* past the threshold in
 either direction: the experiments are deterministic, so any drift means
 the simulation changed.  A change that moves them on purpose
-regenerates the baseline and says why.
+regenerates the baseline and says why.  So does a change to the run
+list: a run added, dropped or relabelled is a regression, because a
+removed experiment arm silently stops gating its claim.
+
+:data:`EXPERIMENTS` is the experiment index (the ``## E<n> — claim
+(§…)`` headings of EXPERIMENTS.md): ``repro experiments`` prints it, and
+:meth:`BenchDiff.render` names the paper claim an artifact gates.
 """
 
 from __future__ import annotations
@@ -28,7 +34,35 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-__all__ = ["load_bench", "diff_benches", "BenchDiff", "DiffRow"]
+__all__ = ["load_bench", "diff_benches", "BenchDiff", "DiffRow", "EXPERIMENTS"]
+
+#: The experiment index, one ``(id, claim, paper section, benchmark
+#: file)`` entry per ``## E<n> — claim (§…)`` heading of EXPERIMENTS.md.
+EXPERIMENTS: Tuple[Tuple[str, str, str, str], ...] = (
+    ("E1", "dynamic loading vs configuration time", "§2, §3", "test_e1_dynamic_loading.py"),
+    ("E2", 'merged "trivial solution" vs dynamic loading', "§3", "test_e2_merged_vs_dynamic.py"),
+    ("E3", "non-preemptable FPGA forces FIFO", "§4", "test_e3_nonpreemptable.py"),
+    ("E4", "partitioning reduces loading operations", "§4", "test_e4_partitioning.py"),
+    ("E5", "fragmentation, starvation, garbage collection", "§4", "test_e5_fragmentation_gc.py"),
+    ("E6", "sequential-circuit preemption: save/restore vs rollback", "§3",
+     "test_e6_state_saving.py"),
+    ("E7", "overlaying", "§2", "test_e7_overlay.py"),
+    ("E8", "pagination vs segmentation; replacement", "§2", "test_e8_paging_segmentation.py"),
+    ("E9", "I/O pin multiplexing", "§2", "test_e9_io_mux.py"),
+    ("E10", "headline: larger circuits on smaller FPGAs, lower cost", "§1, §5",
+     "test_e10_cost_frontier.py"),
+    ("E11", "application scenarios", "§5", "test_e11_applications.py"),
+    ("E12", "configuration-port ablation", "§2", "test_e12_config_port_ablation.py"),
+    ("E13", "CAD-flow ablation", "design choice", "test_e13_cad_ablation.py"),
+    ("E14", "lazy vs eager (implicit) dynamic loading", "§3", "test_e14_eager_loading.py"),
+    ("E15", "long-distance busses", "§2", "test_e15_long_lines.py"),
+    ("E16", "fit-policy ablation", "§4", "test_e16_fit_policies.py"),
+    ("E17", 'multi-board "virtual computer"', "§2", "test_e17_multi_board.py"),
+    ("E18", "1-D columns vs 2-D rectangles", "extension", "test_e18_2d_partitioning.py"),
+    ("E19", "configuration scrubbing", "§5", "test_e19_scrubbing.py"),
+    ("E20", "saturation sweep: knee point and goodput under an SLO", "extension",
+     "test_e20_saturation.py"),
+)
 
 
 def load_bench(path: str) -> Dict[str, object]:
@@ -119,6 +153,15 @@ METRICS: Tuple[Tuple[str, Optional[str]], ...] = (
     ("alloc.failures", "drift"),
     ("alloc.fail_rate", "drift"),
     ("alloc.mean_fragmentation", "drift"),
+    # Static-model records: E15's cross-chip delay per device side and
+    # E9's pin-multiplexing model per virtual:physical ratio are pure
+    # functions of their inputs — any drift means the model changed.
+    ("long_lines.no_long_ns", "drift"),
+    ("long_lines.with_long_ns", "drift"),
+    ("long_lines.speedup", "drift"),
+    ("mux.factor", "drift"),
+    ("mux.transfer_ms", "drift"),
+    ("mux.per_pin_bw", "drift"),
     # E13d kernel/cache summary records (benchmarks/test_e13_cad_ablation.py):
     # the wall clocks gate on growth like any compile timing; the two
     # win ratios gate on *shrink* — the vectorized speedup and the
@@ -159,7 +202,6 @@ class BenchDiff:
     new_name: str
     fail_on: float
     rows: List[DiffRow] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
     #: metric path -> threshold overriding :attr:`fail_on` for that row.
     fail_on_overrides: Dict[str, float] = field(default_factory=dict)
 
@@ -180,7 +222,6 @@ class BenchDiff:
             "fail_on_overrides": dict(sorted(self.fail_on_overrides.items())),
             "ok": self.ok,
             "n_regressions": len(self.regressions),
-            "notes": list(self.notes),
             "rows": [vars(r) for r in self.rows],
         }
 
@@ -204,16 +245,21 @@ class BenchDiff:
             }
             for r in self.rows
         ]
+        # The artifact's experiment names its index entry: e8_replacement -> E8.
+        eid = self.base_name.split("_", 1)[0].upper()
+        exp = next((e for e in EXPERIMENTS if e[0] == eid), None)
+        claim = f"{exp[0]} ({exp[2]}): {exp[1]}" if exp else ""
         parts = [format_table(
             table,
             title=f"bench diff: {self.base_name} -> {self.new_name} "
-                  f"(fail on >{self.fail_on:g}%)",
+                  + (f"[{claim}] " if claim else "")
+                  + f"(fail on >{self.fail_on:g}%)",
         )]
-        parts.extend(self.notes)
         if self.regressions:
             parts.append(
                 f"{len(self.regressions)} metric(s) regressed past "
                 f"{self.fail_on:g}%"
+                + (f"; the claim that moved is {claim}" if claim else "")
             )
         else:
             parts.append("no regressions")
@@ -250,17 +296,20 @@ def diff_benches(
         fail_on=fail_on,
         fail_on_overrides=overrides,
     )
+    # A changed run list fails; the common prefix is still compared.
     if len(base_runs) != len(new_runs):
-        diff.notes.append(
-            f"run count changed: {len(base_runs)} -> {len(new_runs)} "
-            f"(only the common prefix is compared)"
-        )
+        diff.rows.append(DiffRow(
+            run="(run list)", metric="run count",
+            base=float(len(base_runs)), new=float(len(new_runs)),
+            delta_pct=None, regressed=True,
+        ))
     for i, (b, n) in enumerate(zip(base_runs, new_runs)):
-        label = _run_label(b, i)
-        if _run_label(n, i) != label:
-            diff.notes.append(
-                f"run {i} identity changed: {label} -> {_run_label(n, i)}"
-            )
+        label, new_label = _run_label(b, i), _run_label(n, i)
+        if new_label != label:
+            diff.rows.append(DiffRow(
+                run=f"{label} -> {new_label}", metric="run label",
+                base=None, new=None, delta_pct=None, regressed=True,
+            ))
         for dotted, gate in METRICS:
             bv, nv = _metric(b, dotted), _metric(n, dotted)
             if bv is None and nv is None:

@@ -351,12 +351,13 @@ class Placement(TelemetryEvent):
 
 @dataclass(frozen=True)
 class SchedDecision(TelemetryEvent):
-    """A fabric scheduling engine priced one preemption point.
+    """The fabric verdict priced one preemption point.
 
-    Published by services with a
-    :class:`~repro.core.scheduling.FabricSchedulerPolicy` at every
-    contended quantum boundary (nobody waiting = no decision to price),
-    carrying the priced cost terms the verdict weighed: the victim's
+    Published by a time-sliced ``DynamicLoadingService`` at every
+    contended quantum boundary (nobody waiting = no decision to price):
+    its ``fabric_sched`` rule (``strategy``), the verdict (``reason``;
+    ``preempt`` = the mechanism allows the switch and the rule takes
+    it) and the priced cost terms weighed: the victim's
     reload bill (``reconfig_cost``, delta-frame pricing against the
     resident ConfigRam digests), the state save+restore movement
     (``state_cost``), the progress a rollback discards (``lost_cost``),

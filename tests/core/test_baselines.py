@@ -6,8 +6,8 @@ from repro.core import (
     CapacityError,
     ConfigRegistry,
     MergedResidentService,
-    NonPreemptableService,
     SoftwareOnlyService,
+    make_service,
     shelf_pack,
 )
 from repro.device import get_family
@@ -115,7 +115,7 @@ class TestSoftwareOnly:
 class TestNonPreemptable:
     def test_fifo_serialization(self, registry, harness):
         """Paper §4: the non-preemptable FPGA forces FIFO-like service."""
-        svc = NonPreemptableService(registry)
+        svc = make_service("nonpreemptable", registry)
         h = harness(svc)
         tasks = [Task(f"t{i}", [FpgaOp("a3", 100000)]) for i in range(3)]
         h.run(tasks)
@@ -125,7 +125,7 @@ class TestNonPreemptable:
         assert [name for _t, name in done] == ["t0", "t1", "t2"]
 
     def test_affinity_skips_reload(self, registry, harness):
-        svc = NonPreemptableService(registry)
+        svc = make_service("nonpreemptable", registry)
         h = harness(svc)
         t = Task("t", [FpgaOp("a3", 100), FpgaOp("a3", 100), FpgaOp("b3", 100)])
         h.run([t])
@@ -135,14 +135,14 @@ class TestNonPreemptable:
     def test_exact_fit_device_accepted(self, harness):
         small = ConfigRegistry(get_family("VF4"))
         small.register_synthetic("w4", 4, 4)
-        svc = NonPreemptableService(small)
+        svc = make_service("nonpreemptable", small)
         h = harness(svc)
         stats = h.run([Task("t", [FpgaOp("w4", 10)])])
         assert stats.n_tasks == 1
         assert svc.metrics.n_loads == 1
 
     def test_reconfig_charged_to_requesting_task(self, registry, harness):
-        svc = NonPreemptableService(registry)
+        svc = make_service("nonpreemptable", registry)
         h = harness(svc)
         t = Task("t", [FpgaOp("d6", 10)])
         h.run([t])
@@ -150,7 +150,7 @@ class TestNonPreemptable:
         assert t.accounting.n_reconfigs == 1
 
     def test_load_time_scales_with_region_width(self, registry, harness):
-        svc = NonPreemptableService(registry)
+        svc = make_service("nonpreemptable", registry)
         h = harness(svc)
         t3 = Task("t3", [FpgaOp("a3", 10)])
         t6 = Task("t6", [FpgaOp("d6", 10)])

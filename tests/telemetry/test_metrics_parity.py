@@ -22,7 +22,6 @@ from repro.core import (
     FixedPartitionService,
     MergedResidentService,
     MultiDeviceService,
-    NonPreemptableService,
     OverlayService,
     PagedVfpgaService,
     SaveRestore,
@@ -31,6 +30,7 @@ from repro.core import (
     VariablePartitionService,
     make_paged_circuit,
     make_segmented_circuit,
+    make_service,
 )
 from repro.osim import FpgaOp, Task, uniform_workload
 from repro.telemetry import (
@@ -187,7 +187,7 @@ class TestPolicyParity:
 
     def test_non_preemptable(self, registry, logged):
         run, agg, spans = live_run(
-            logged, NonPreemptableService(registry),
+            logged, make_service("nonpreemptable", registry),
             [Task("ta", [FpgaOp("a3", 100000)]),
              Task("tb", [FpgaOp("b3", 100000)])])
         assert_parity(run, agg, spans)

@@ -22,7 +22,6 @@ from repro.core import (
     FixedPartitionService,
     MergedResidentService,
     MultiDeviceService,
-    NonPreemptableService,
     OverlayService,
     PagedVfpgaService,
     SaveRestore,
@@ -31,6 +30,7 @@ from repro.core import (
     VariablePartitionService,
     make_paged_circuit,
     make_segmented_circuit,
+    make_service,
 )
 from repro.osim import FpgaOp, Task, uniform_workload
 from repro.telemetry import (
@@ -143,7 +143,7 @@ class TestPolicyParity:
         assert derived.exec_time == pytest.approx(10.0 * op_time(1000))
 
     def test_non_preemptable(self, registry, logged):
-        run = logged(NonPreemptableService(registry))
+        run = logged(make_service("nonpreemptable", registry))
         run.run([Task("ta", [FpgaOp("a3", 100000)]),
                  Task("tb", [FpgaOp("b3", 100000)])])
         assert_parity(run)

@@ -38,6 +38,7 @@ class TestCommands:
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
         assert "E1" in out and "E19" in out
+        assert "non-preemptable FPGA forces FIFO" in out and "§4" in out
 
     def test_compile_with_verify(self, capsys):
         rc = main(["compile", "parity_tree:4", "--family", "VF8",
@@ -571,6 +572,75 @@ class TestBenchDiff:
         assert main(["bench-diff", a, c, "--fail-on", "0"]) == 1
         out = capsys.readouterr().out
         assert "alloc.failures" in out and "REGRESSED" in out
+
+    def make_mux_bench(self, tmp_path, name, factor):
+        import json
+        doc = {
+            "experiment": "e9_io_mux",
+            "runs": [{
+                "policy": "mux", "policy_kw": {"ratio": 2.0},
+                "mux": {"factor": factor, "transfer_ms": 5.0,
+                        "per_pin_bw": 0.5},
+            }],
+        }
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_static_model_outputs_gate_exactly_at_zero(self, capsys,
+                                                       tmp_path):
+        """E9's pin-multiplexing rows (and E15's delay rows) are pure
+        model outputs gated at 0%: identical rows pass, a moved
+        ``mux.factor`` fails."""
+        a = self.make_mux_bench(tmp_path, "a.json", factor=2.0)
+        b = self.make_mux_bench(tmp_path, "b.json", factor=2.0)
+        assert main(["bench-diff", a, b, "--fail-on", "0"]) == 0
+        capsys.readouterr()
+        c = self.make_mux_bench(tmp_path, "c.json", factor=2.5)
+        assert main(["bench-diff", a, c, "--fail-on", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "mux.factor" in out and "REGRESSED" in out
+
+    def write_runs(self, tmp_path, name, runs, experiment="e3_nonpreemptable"):
+        import json
+        path = tmp_path / name
+        path.write_text(json.dumps({"experiment": experiment, "runs": runs}))
+        return str(path)
+
+    def e3_run(self, policy, makespan=0.129584):
+        return {"policy": policy, "policy_kw": {}, "makespan": makespan,
+                "telemetry": {"n_events": 75}}
+
+    def test_dropped_run_fails(self, capsys, tmp_path):
+        """Removing an experiment arm must not silently stop gating it."""
+        a = self.write_runs(tmp_path, "a.json", [
+            self.e3_run("nonpreemptable"), self.e3_run("dynamic")])
+        b = self.write_runs(tmp_path, "b.json", [
+            self.e3_run("nonpreemptable")])
+        assert main(["bench-diff", a, b, "--fail-on", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "run count" in out and "REGRESSED" in out
+
+    def test_renamed_run_fails(self, capsys, tmp_path):
+        a = self.write_runs(tmp_path, "a.json", [
+            self.e3_run("nonpreemptable"), self.e3_run("dynamic")])
+        b = self.write_runs(tmp_path, "b.json", [
+            self.e3_run("nonpreemptable"), self.e3_run("variable")])
+        assert main(["bench-diff", a, b, "--fail-on", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "run label" in out and "REGRESSED" in out
+
+    def test_regression_names_the_claim(self, capsys, tmp_path):
+        """The diff names the experiment, its claim and its paper
+        section, in the title and in the regression line."""
+        a = self.write_runs(tmp_path, "a.json", [self.e3_run("dynamic")])
+        b = self.write_runs(tmp_path, "b.json", [
+            self.e3_run("dynamic", makespan=0.13)])
+        assert main(["bench-diff", a, b, "--fail-on", "0"]) == 1
+        out = capsys.readouterr().out
+        claim = "E3 (§4): non-preemptable FPGA forces FIFO"
+        assert out.splitlines()[0].count(claim) == 1
+        assert f"the claim that moved is {claim}" in out
 
 
 class TestCompileReport:
