@@ -12,8 +12,8 @@ non-preemptable use    :class:`DynamicLoadingService`, no fabric slice
 partitioning (§4)      :class:`FixedPartitionService`,
                        :class:`VariablePartitionService`
 overlaying (§2)        :class:`OverlayService`
-segmentation (§2)      :class:`SegmentedVfpgaService`
-pagination (§2)        :class:`PagedVfpgaService`
+segmentation (§2)      :class:`SegmentedVfpgaService` } one demand-
+pagination (§2)        :class:`PagedVfpgaService`     } loading service
 I/O multiplexing (§2)  :class:`PinMultiplexer` (used by all services)
 state handling (§3)    :mod:`repro.core.preemption`
 ====================  =============================================

@@ -189,9 +189,9 @@ class VfpgaServiceBase(FpgaService):
         **lookup → place (evict-until-fits) → load**, re-validating
         residency after every yield of simulation time.
 
-        The concrete policy supplies the bookkeeping through five hooks
-        (pagination, segmentation and variable partitioning differ only
-        here — the control flow above is identical and lives once):
+        The concrete policy supplies the bookkeeping through the hooks
+        (demand loading of pages and segments, and variable partitioning,
+        differ only here — the control flow above lives once):
 
         * ``_resident_lookup(task, key)`` — the current residency token
           (frame index, anchor, resident record …) or ``None``;

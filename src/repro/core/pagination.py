@@ -7,6 +7,9 @@ device into equal page *frames*, and pages are downloaded on demand with a
 replacement policy choosing victims — virtual memory verbatim, with frame
 writes instead of disk I/O.
 
+Paging is segmentation over a frame table: the demand-loading service of
+:mod:`repro.core.segmentation`, placing pages in the first empty frame.
+
 One FPGA operation on a paged circuit is a sequence of *page accesses*
 (``op.cycles`` accesses; each access runs ``cycles_per_access`` clock
 cycles on the touched page).  The access pattern comes from
@@ -16,15 +19,15 @@ cycles on the touched page).  The access pattern comes from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from types import SimpleNamespace
+from typing import List, Optional, Union
 
-from ..osim import FpgaOp, Task
-from ..sim import Resource
-from .base import VfpgaServiceBase
-from .errors import CapacityError, UnknownConfigError
-from ..telemetry import OpStart, PageAccess, PageFault, Placement
-from .policies import ReplacementPolicy, access_trace, make_replacement
+from .errors import CapacityError
+from ..telemetry import PageFault
+from .placement import Anchor, Proposal
+from .policies import ReplacementPolicy
 from .registry import ConfigRegistry
+from .segmentation import _DemandLoadingService
 
 __all__ = ["PagedCircuit", "PagedVfpgaService", "make_paged_circuit"]
 
@@ -50,8 +53,8 @@ class PagedCircuit:
     seed: int = 0
 
     @property
-    def n_pages(self) -> int:
-        return len(self.page_names)
+    def units(self) -> tuple:
+        return self.page_names
 
 
 def make_paged_circuit(
@@ -81,7 +84,35 @@ def make_paged_circuit(
     )
 
 
-class PagedVfpgaService(VfpgaServiceBase):
+class _FrameTable:
+    """``n_frames`` page frames of ``frame_width`` columns behind the
+    column allocator's protocol: ``allocate`` claims the first empty
+    frame whatever the page's width (no page is wider than its frame)."""
+
+    #: The strategy ``Placement`` events name.
+    placement = SimpleNamespace(name="fixed-frame")
+    #: Frames never split: the waste is internal, never external.
+    fragmentation = 0.0
+
+    def __init__(self, n_frames: int, frame_width: int) -> None:
+        self.frame_width = frame_width
+        self.empty = [True] * n_frames
+        self.last_proposal: Optional[Proposal] = None
+
+    def allocate(self, w: int, h: int) -> Optional[Anchor]:
+        empty = [i for i, e in enumerate(self.empty) if e]
+        if not empty:
+            return None
+        self.empty[empty[0]] = False
+        anchor = (empty[0] * self.frame_width, 0)
+        self.last_proposal = Proposal(anchor, candidates=len(empty))
+        return anchor
+
+    def release(self, anchor: Anchor, w: int, h: int) -> None:
+        self.empty[anchor[0] // self.frame_width] = True
+
+
+class PagedVfpgaService(_DemandLoadingService):
     """Fixed page frames + demand paging.
 
     Parameters
@@ -101,6 +132,8 @@ class PagedVfpgaService(VfpgaServiceBase):
         Clock cycles of useful work per page access.
     """
 
+    fault_event = PageFault
+
     def __init__(
         self,
         registry: ConfigRegistry,
@@ -111,146 +144,19 @@ class PagedVfpgaService(VfpgaServiceBase):
         cycles_per_access: int = 256,
         **kw,
     ) -> None:
-        super().__init__(registry, **kw)
+        super().__init__(registry, circuits, replacement, replacement_seed,
+                         cycles_per_access, **kw)
         arch = self.fpga.arch
         if frame_width < 1 or frame_width > arch.width:
             raise ValueError(f"frame_width {frame_width} out of range")
-        self.frame_width = frame_width
-        self.n_frames = arch.width // frame_width
-        if self.n_frames < 1:
-            raise CapacityError("device narrower than one page frame")
-        self.circuits: Dict[str, PagedCircuit] = {c.name: c for c in circuits}
         for circ in circuits:
             for page in circ.page_names:
-                entry = registry.get(page)
-                r = entry.bitstream.region
-                if r.w > frame_width or r.h > arch.height:
+                r = registry.get(page).bitstream.region
+                if r.w > frame_width:
                     raise CapacityError(
                         f"page {page!r} ({r.w}x{r.h}) exceeds the frame "
                         f"({frame_width}x{arch.height})"
                     )
-        self.replacement = make_replacement(replacement,
-                                            seed=replacement_seed)
-        self.cycles_per_access = cycles_per_access
-        #: frame index -> resident page name (None = empty).
-        self.frame_holds: List[Optional[str]] = [None] * self.n_frames
-        #: page name -> frame index (the page table).
-        self.page_table: Dict[str, int] = {}
-        self._pins: Dict[int, int] = {}  # frame -> pin count
-        self._frame_waiters: List = []
-        self._op_counter = 0
-
-    def attach(self, kernel) -> None:
-        super().attach(kernel)
-        self._fault_lock = Resource(self.sim)
-
-    # -- task boundary --------------------------------------------------------
-    def register_task(self, task: Task) -> None:
-        for name in task.configs:
-            if name not in self.circuits and name not in self.registry:
-                raise UnknownConfigError(name)
-
-    # -- frame management -------------------------------------------------------
-    def _frame_anchor(self, frame: int) -> tuple:
-        return (frame * self.frame_width, 0)
-
-    def _pin(self, frame: int) -> None:
-        self._pins[frame] = self._pins.get(frame, 0) + 1
-
-    def _unpin(self, frame: int) -> None:
-        self._pins[frame] -= 1
-        if self._pins[frame] == 0:
-            del self._pins[frame]
-            waiters, self._frame_waiters = self._frame_waiters, []
-            for ev in waiters:
-                if not ev.triggered:
-                    ev.succeed()
-
-    # -- demand-fault pipeline hooks (see VfpgaServiceBase.ensure_resident) --
-    def _resident_lookup(self, task, page):
-        return self.page_table.get(page)
-
-    def _note_hit(self, task, page, frame) -> None:
-        self._pin(frame)
-        self.replacement.on_access(page)
-
-    def _publish_fault(self, task, page) -> None:
-        self._publish(PageFault, task, unit=page)
-
-    def _place_unit(self, task, page):
-        """One free frame: the first empty one, else a single eviction
-        (the mapping is claimed atomically before the unload I/O)."""
-        empty = [i for i, p in enumerate(self.frame_holds) if p is None]
-        if empty:
-            return empty[0]
-        unpinned = [
-            p for i, p in enumerate(self.frame_holds)
-            if p is not None and i not in self._pins
-        ]
-        if not unpinned:
-            return None
-        victim = self.replacement.victim(unpinned)
-        frame = self.page_table[victim]
-        del self.page_table[victim]
-        self.frame_holds[frame] = None
-        self.replacement.on_remove(victim)
-        yield from self._charge_unload(task, victim)
-        return frame
-
-    def _load_unit(self, task, page, frame):
-        # Claim before yielding so concurrent faults pick other frames.
-        self.frame_holds[frame] = page
-        self.page_table[page] = frame
-        self._pin(frame)
-        entry = self.registry.get(page)
-        self._publish(
-            Placement, task, strategy="fixed-frame", handle=page,
-            anchor=self._frame_anchor(frame),
-            candidates=self.frame_holds.count(None) + 1,
-            fragmentation=0.0,
-        )
-        yield from self._charge_load(
-            task, entry, self._frame_anchor(frame), handle=page
-        )
-        self.replacement.on_insert(page)
-        return frame
-
-    def _wait_for_space(self, task, page):
-        ev = self.sim.event()
-        self._frame_waiters.append(ev)
-        yield ev
-
-    # -- execution ------------------------------------------------------------------
-    def execute(self, task: Task, op: FpgaOp):
-        circ = self.circuits.get(op.config)
-        if circ is None:
-            raise UnknownConfigError(op.config)
-        self._op_counter += 1
-        trace = access_trace(
-            circ.n_pages,
-            op.cycles,
-            pattern=circ.pattern,
-            working_set=circ.working_set,
-            seed=circ.seed * 1_000_003 + self._op_counter,
-        )
-        t0 = self.sim.now
-        self._publish(OpStart, task, config=op.config)
-        first_io = True
-        for index in trace:
-            page = circ.page_names[index]
-            self._publish(PageAccess, task, unit=page)
-            frame = yield from self.ensure_resident(task, page)
-            try:
-                entry = self.registry.get(page)
-                if first_io:
-                    self._charge_wait(task, t0)
-                    yield from self._charge_io(task, entry, op)
-                    first_io = False
-                yield from self._charge_exec(
-                    task, entry,
-                    self.cycles_per_access * entry.critical_path,
-                    handle=page,
-                )
-            finally:
-                self._unpin(frame)
-        task.current_config = op.config
+        self.frame_width = frame_width
+        self.n_frames = arch.width // frame_width
+        self.allocator = _FrameTable(self.n_frames, frame_width)

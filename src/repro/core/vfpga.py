@@ -66,8 +66,9 @@ def make_service(policy: str, registry: ConfigRegistry, **kw):
     ``replacement``), ``variable`` (kw: ``gc``, ``hold_mode``, ``layout``,
     ``placement``, ``replacement``), ``overlay`` (kw: ``resident_names``,
     ``replacement``, ``overlay_slots``), ``paged`` (kw: ``circuits``,
-    ``frame_width``, ``replacement``), ``segmented`` (kw: ``circuits``,
-    ``replacement``, ``placement``), ``multi`` (kw: ``n_devices``,
+    ``frame_width``, ``replacement``, ``replacement_seed``,
+    ``cycles_per_access``), ``segmented`` (the same minus ``frame_width``,
+    plus ``placement``), ``multi`` (kw: ``n_devices``,
     ``board_factory``, ``dispatch``).
 
     The pluggable engines are shared across policies: ``placement``

@@ -5,11 +5,28 @@ import pytest
 from repro.core import (
     CapacityError,
     ConfigRegistry,
+    LruReplacement,
     PagedVfpgaService,
     UnknownConfigError,
     make_paged_circuit,
+    make_service,
 )
 from repro.osim import FpgaOp, Task
+from repro.telemetry import Evict, Load, Placement
+
+
+class AnchorRecordingLru(LruReplacement):
+    """LRU that records the anchor x of every candidate it is offered."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.service = None
+        self.offers = []
+
+    def victim(self, candidates):
+        resident = self.service.fpga.resident
+        self.offers.append([resident[c].region.x for c in candidates])
+        return super().victim(candidates)
 
 
 @pytest.fixture
@@ -44,6 +61,23 @@ class TestConstruction:
         h = harness(svc)
         with pytest.raises(UnknownConfigError):
             h.run([Task("t", [FpgaOp("ghost", 5)], configs=["ghost"])])
+
+    def test_page_name_rejected_at_admission(self, paged_setup, harness):
+        """A task names paged circuits; a page is a registry entry that
+        ``execute`` cannot run, so the task is refused before any load."""
+        reg, circ = paged_setup
+        svc = PagedVfpgaService(reg, [circ], frame_width=3)
+        h = harness(svc)
+        with pytest.raises(UnknownConfigError, match="virt.p0"):
+            h.run([Task("t", [FpgaOp("virt", 4), FpgaOp("virt.p0", 4)])])
+        assert h.sim.now == 0.0
+        assert h.log.count(Load) == 0
+
+    def test_make_service_refuses_placement(self, paged_setup):
+        reg, circ = paged_setup
+        with pytest.raises(TypeError):
+            make_service("paged", reg, circuits=[circ], frame_width=3,
+                         placement="column-best-fit")
 
 
 class TestDemandPaging:
@@ -92,10 +126,41 @@ class TestDemandPaging:
         svc = PagedVfpgaService(reg, [circ], frame_width=3)
         h = harness(svc)
         h.run([Task("t", [FpgaOp("virt", 13)])])
-        for page, frame in svc.page_table.items():
-            assert svc.frame_holds[frame] == page
-            assert page in svc.fpga.resident
-        assert sum(p is not None for p in svc.frame_holds) == len(svc.page_table)
+        for page, x in svc.unit_table.items():
+            assert svc.fpga.resident[page].region.x == x
+        anchors = list(svc.unit_table.values())
+        assert len(set(anchors)) == len(anchors)
+        assert all(x % svc.frame_width == 0 for x in anchors)
+        assert 0 < len(anchors) <= svc.n_frames
+
+    def test_placement_events_name_fixed_frames(self, paged_setup, harness):
+        """Cold frames are claimed with 4, 3, 2, 1 empty; after that
+        every load follows one eviction and sees one empty frame."""
+        reg, circ = paged_setup
+        svc = PagedVfpgaService(reg, [circ], frame_width=3)
+        h = harness(svc)
+        h.run([Task("t", [FpgaOp("virt", 13)])])
+        placements = [e for e in h.log.events if isinstance(e, Placement)]
+        assert len(placements) == 13
+        assert all(e.strategy == "fixed-frame" for e in placements)
+        assert all(e.fragmentation == 0.0 for e in placements)
+        assert [e.candidates for e in placements] == [4, 3, 2, 1] + [1] * 9
+        assert h.log.count(Evict) == 9
+
+    def test_victims_offered_in_anchor_order(self, arch, harness):
+        """E8b-shaped input (24 virtual columns, Zipf, LRU): the policy
+        sees the unpinned pages sorted by frame."""
+        reg = ConfigRegistry(arch)
+        circ = make_paged_circuit(reg, "virt", n_pages=8, page_width=3,
+                                  critical_path=25e-9, pattern="zipf",
+                                  seed=21)
+        policy = AnchorRecordingLru()
+        svc = PagedVfpgaService(reg, [circ], frame_width=3,
+                                replacement=policy, cycles_per_access=40_000)
+        policy.service = svc
+        harness(svc).run([Task("t", [FpgaOp("virt", 60)])])
+        assert policy.offers
+        assert all(offer == sorted(offer) for offer in policy.offers)
 
     def test_fault_time_charged_as_reconfig(self, paged_setup, harness):
         reg, circ = paged_setup

@@ -11,6 +11,8 @@ from repro.core import (
 )
 from repro.netlist import LogicSimulator, ripple_adder
 from repro.osim import FpgaOp, Task
+from repro.telemetry import Load
+from tests.core.test_pagination import AnchorRecordingLru
 
 
 class TestSegmentNetlist:
@@ -117,7 +119,8 @@ class TestSegmentedService:
         svc = SegmentedVfpgaService(reg, [circ])
         h = harness(svc)
         h.run([Task("t", [FpgaOp("virt", 7)])])
-        for seg, x in svc.segment_table.items():
+        assert svc.unit_table
+        for seg, x in svc.unit_table.items():
             assert seg in svc.fpga.resident
             assert svc.fpga.resident[seg].region.x == x
 
@@ -127,6 +130,34 @@ class TestSegmentedService:
         h = harness(svc)
         with pytest.raises(UnknownConfigError):
             h.run([Task("t", [FpgaOp("ghost", 1)], configs=["ghost"])])
+
+    def test_segment_name_rejected_at_admission(self, seg_setup, harness):
+        """A task names segmented circuits; a segment is a registry entry
+        that ``execute`` cannot run, so the task is refused before any
+        load."""
+        reg, circ = seg_setup
+        svc = SegmentedVfpgaService(reg, [circ])
+        h = harness(svc)
+        with pytest.raises(UnknownConfigError, match="virt.s0"):
+            h.run([Task("t", [FpgaOp("virt", 4), FpgaOp("virt.s0", 4)])])
+        assert h.sim.now == 0.0
+        assert h.log.count(Load) == 0
+
+    def test_victims_offered_in_anchor_order(self, arch, harness):
+        """E8b's input (widths 5,3,6,4,2,4, Zipf, seed 21, LRU): the
+        policy sees the unpinned segments sorted by anchor, not in the
+        order they were loaded."""
+        reg = ConfigRegistry(arch)
+        circ = make_segmented_circuit(reg, "virt", widths=[5, 3, 6, 4, 2, 4],
+                                      critical_path=25e-9, pattern="zipf",
+                                      seed=21)
+        policy = AnchorRecordingLru()
+        svc = SegmentedVfpgaService(reg, [circ], replacement=policy,
+                                    cycles_per_access=40_000)
+        policy.service = svc
+        harness(svc).run([Task("t", [FpgaOp("virt", 60)])])
+        assert len(policy.offers) == 28
+        assert all(offer == sorted(offer) for offer in policy.offers)
 
     def test_real_compiled_segments(self, arch, harness):
         """End-to-end: cut a real netlist, compile every segment, and run

@@ -1,5 +1,5 @@
-"""Example-script health: quickstart runs end to end; all examples at
-least parse/compile (their work is __main__-guarded)."""
+"""Example-script health: all examples parse/compile (their work is
+__main__-guarded) and print exactly their pinned output."""
 
 import pathlib
 import py_compile
@@ -8,9 +8,8 @@ import sys
 
 import pytest
 
-EXAMPLES = sorted(
-    (pathlib.Path(__file__).parents[2] / "examples").glob("*.py")
-)
+ROOT = pathlib.Path(__file__).parents[2]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 def test_examples_exist():
@@ -22,6 +21,19 @@ def test_examples_exist():
 @pytest.mark.parametrize("path", EXAMPLES, ids=[p.stem for p in EXAMPLES])
 def test_example_compiles(path):
     py_compile.compile(str(path), doraise=True)
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=[p.stem for p in EXAMPLES])
+def test_example_output_pinned(path):
+    """Run from the repo root, each example prints exactly
+    ``examples/expected/<stem>.txt``: its tables are seeded simulations."""
+    proc = subprocess.run(
+        [sys.executable, str(path.relative_to(ROOT))],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = ROOT / "examples" / "expected" / f"{path.stem}.txt"
+    assert proc.stdout == expected.read_text()
 
 
 def test_quickstart_runs():
