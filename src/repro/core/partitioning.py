@@ -24,7 +24,7 @@ service calls its allocator directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..device import Rect
 from ..osim import FpgaOp, Task
@@ -88,6 +88,9 @@ class ColumnAllocator:
         self.free_spans: List[Tuple[int, int]] = [(0, width)]
         #: The most recent successful placement decision (telemetry).
         self.last_proposal: Optional[Proposal] = None
+        #: A release may have left adjacent free spans; only a release
+        #: can, since splitting a span never makes a new neighbour.
+        self._unmerged = False
 
     # -- queries ------------------------------------------------------------
     @property
@@ -122,6 +125,14 @@ class ColumnAllocator:
         """
         if w < 1:
             raise ValueError("width must be >= 1")
+        # Every strategy proposes only a span at least ``w`` wide, so a
+        # request that no span fits fails before one is asked.
+        for _x, fw in self.free_spans:
+            if fw >= w:
+                break
+        else:
+            self.last_proposal = None
+            return None
         strategy = self.placement if placement is None else placement
         proposal = strategy.propose(
             PlacementRequest(
@@ -162,6 +173,7 @@ class ColumnAllocator:
                 raise VfpgaError(f"double free of span ({x},{w})")
         self.free_spans.append((x, w))
         self.free_spans.sort()
+        self._unmerged = True
         if self.coalesce:
             self.merge_free()
 
@@ -171,6 +183,9 @@ class ColumnAllocator:
         This is the bookkeeping half of the paper's garbage collection:
         merging *idle* partitions into "continuous large ones" (§4).
         """
+        if not self._unmerged:
+            return 0
+        self._unmerged = False
         merged: List[Tuple[int, int]] = []
         n = 0
         for span in sorted(self.free_spans):
@@ -330,10 +345,6 @@ class _Resident:
     pending_load: bool = False
 
     @property
-    def cached(self) -> bool:
-        return not self.holders
-
-    @property
     def anchor_x(self) -> int:
         return self.anchor[0]
 
@@ -368,7 +379,8 @@ class VariablePartitionService(VfpgaServiceBase):
        state save/restore for sequential circuits: the paper's costly
        relocation, and the only remedy when held partitions fragment the
        array (a sequential circuit whose state is not accessible is
-       never moved);
+       never moved: ``compaction_refusals`` counts the compactions that
+       left one in place);
     4. otherwise the task suspends; under ``gc="none"`` it can starve
        although the sum of the idle fragments would fit it — the exact
        hazard the paper calls "definitely not acceptable" (experiment E5
@@ -411,6 +423,9 @@ class VariablePartitionService(VfpgaServiceBase):
         self._space_waiters: List = []
         #: allocation failed although total free space was sufficient.
         self.starvation_events = 0
+        #: compactions that left a movable sequential circuit in place
+        #: because its state is not accessible.
+        self.compaction_refusals = 0
 
     # -- space bookkeeping ----------------------------------------------------
     def _notify_space(self) -> None:
@@ -420,17 +435,14 @@ class VariablePartitionService(VfpgaServiceBase):
                 ev.succeed()
 
     def _is_movable(self, res: _Resident) -> bool:
-        """Idle and unlocked: may be relocated (even while held)."""
+        """Idle and unlocked: may be relocated (even while held), and
+        evicted once no task holds it."""
         return (
-            res.entry.name in self.residents
-            and res.idle
-            and res.lock.count == 0
-            and res.lock.queue_length == 0
+            res.idle
+            and not res.lock.users
+            and not res.lock.queue_length
+            and res.entry.name in self.residents
         )
-
-    def _is_evictable(self, res: _Resident) -> bool:
-        """Movable *and* unheld: may be dropped entirely."""
-        return res.cached and self._is_movable(res)
 
     def _evict(self, task: Optional[Task], name: str):
         # Pop before the first yield so no task can "hit" a dying resident.
@@ -440,55 +452,14 @@ class VariablePartitionService(VfpgaServiceBase):
         self.allocator.release(res.anchor, *res.footprint)
         self._notify_space()
 
-    def _choose_victim(self) -> Optional[_Resident]:
-        """The replacement policy's pick among evictable residents."""
-        evictable = [
-            r for r in self.residents.values() if self._is_evictable(r)
-        ]
+    def _choose_victim(self) -> Optional[Hashable]:
+        """The name the replacement policy picks among the movable
+        residents no task holds."""
+        evictable = [name for name, res in self.residents.items()
+                     if not res.holders and self._is_movable(res)]
         if not evictable:
             return None
-        name = self.replacement.victim([r.entry.name for r in evictable])
-        return next(r for r in evictable if r.entry.name == name)
-
-    def _try_place(self, task: Task, entry: ConfigEntry):
-        """One placement attempt; returns the anchor or None (generator:
-        may charge eviction/compaction time)."""
-        r = entry.bitstream.region
-        w, h = r.w, r.h
-        anchor = self.allocator.allocate(w, h)
-        if anchor is not None:
-            return anchor
-        # Phase 1: merge adjacent free spans (cheap GC bookkeeping).
-        if self.gc != "none" and self.allocator.merge_free():
-            anchor = self.allocator.allocate(w, h)
-            if anchor is not None:
-                return anchor
-        # Phase 2: evict cached (unheld) circuits, replacement-policy
-        # order.  Re-validate each victim right before eviction: earlier
-        # charges yielded simulation time during which a victim may have
-        # been claimed.
-        while True:
-            victim = self._choose_victim()
-            if victim is None:
-                break
-            yield from self._evict(task, victim.entry.name)
-            if self.gc != "none":
-                self.allocator.merge_free()
-            anchor = self.allocator.allocate(w, h)
-            if anchor is not None:
-                return anchor
-        if self.gc in ("none", "merge"):
-            if self.allocator.has_room(w, h):
-                self.starvation_events += 1
-            return None
-        if not self.allocator.has_room(w, h):
-            return None
-        # Phase 3: compaction — relocate idle circuits (held ones too)
-        # toward the origin; the only remedy when held partitions shatter
-        # the array.
-        yield from self._compact(task)
-        self.allocator.merge_free()
-        return self.allocator.allocate(w, h)
+        return self.replacement.victim(evictable)
 
     def _compact(self, task: Optional[Task]):
         """Slide idle resident circuits toward x = 0 (paper §4 relocation).
@@ -505,12 +476,14 @@ class VariablePartitionService(VfpgaServiceBase):
         # re-place with the configured strategy.
         slide = ColumnFirstFit() if self.layout == "columns" else None
         self.allocator.merge_free()
+        idle = [r for r in self.residents.values() if self._is_movable(r)]
         movable = sorted(
-            (r for r in self.residents.values()
-             if self._is_movable(r)
-             and (r.entry.state_accessible or not r.entry.is_sequential)),
+            (r for r in idle
+             if r.entry.state_accessible or not r.entry.is_sequential),
             key=lambda r: (r.anchor[1], r.anchor[0]),
         )
+        if len(movable) < len(idle):
+            self.compaction_refusals += 1
         for res in movable:
             if not self._is_movable(res):
                 continue  # claimed while an earlier move was in flight
@@ -570,9 +543,44 @@ class VariablePartitionService(VfpgaServiceBase):
         self._publish(Hit, task, handle=name)
 
     def _place_unit(self, task, name):
-        entry = self.registry.get(name)
-        placed = yield from self._try_place(task, entry)
-        return placed
+        """One placement attempt; returns the anchor or None (generator:
+        may charge eviction/compaction time)."""
+        r = self.registry.get(name).bitstream.region
+        w, h = r.w, r.h
+        anchor = self.allocator.allocate(w, h)
+        if anchor is not None:
+            return anchor
+        # Phase 1: merge adjacent free spans (cheap GC bookkeeping).
+        if self.gc != "none" and self.allocator.merge_free():
+            anchor = self.allocator.allocate(w, h)
+            if anchor is not None:
+                return anchor
+        # Phase 2: evict cached (unheld) circuits, replacement-policy
+        # order.  Re-validate each victim right before eviction: earlier
+        # charges yielded simulation time during which a victim may have
+        # been claimed.
+        while True:
+            victim = self._choose_victim()
+            if victim is None:
+                break
+            yield from self._evict(task, victim)
+            if self.gc != "none":
+                self.allocator.merge_free()
+            anchor = self.allocator.allocate(w, h)
+            if anchor is not None:
+                return anchor
+        if self.gc in ("none", "merge"):
+            if self.allocator.has_room(w, h):
+                self.starvation_events += 1
+            return None
+        if not self.allocator.has_room(w, h):
+            return None
+        # Phase 3: compaction — relocate idle circuits (held ones too)
+        # toward the origin; the only remedy when held partitions shatter
+        # the array.
+        yield from self._compact(task)
+        self.allocator.merge_free()
+        return self.allocator.allocate(w, h)
 
     def _undo_place(self, task, name, anchor) -> None:
         r = self.registry.get(name).bitstream.region

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core import ColumnAllocator, VfpgaError, make_placement
+from repro.core import (
+    ColumnAllocator,
+    ColumnFirstFit,
+    VfpgaError,
+    make_placement,
+)
 
 
 class TestAllocate:
@@ -45,6 +50,26 @@ class TestAllocate:
         a.allocate(6, 1)
         assert a.allocate(1, 1) is None
         assert a.total_free == 0
+
+    def test_strategy_asked_only_when_a_span_is_wide_enough(self):
+        """A request wider than every free span fails without building
+        a request for the strategy, which could only refuse it."""
+        asked = []
+
+        class Counting(ColumnFirstFit):
+            def propose(self, req):
+                asked.append(req.w)
+                return super().propose(req)
+
+        a = ColumnAllocator(12, coalesce=False, placement=Counting())
+        a.reserve(4, 2)          # free spans: (0,4) and (6,6)
+        assert a.allocate(7, 1) is None
+        assert a.last_proposal is None
+        assert asked == []
+        assert a.allocate(6, 1) == (6, 0)
+        assert asked == [6]
+        assert a.allocate(5, 1) is None
+        assert asked == [6]
 
     def test_has_room_counts_split_columns(self):
         a = ColumnAllocator(10, coalesce=False)

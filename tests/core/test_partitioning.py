@@ -155,8 +155,9 @@ class TestVariablePartitions:
     def test_compaction_moves_only_state_it_can_save(self, registry,
                                                      harness, held, moved):
         """Relocating a held sequential circuit saves and restores its
-        state; one whose state is not accessible is left in place (§3),
-        so the wide request waits for the holder to let go instead."""
+        state; one whose state is not accessible is left in place (§3)
+        and the refusal counted, so the wide request waits for the
+        holder to let go instead."""
         svc = VariablePartitionService(registry, gc="compact")
         h = harness(svc)
         t_left = Task("t_left", [FpgaOp("a3", 10)])
@@ -172,6 +173,10 @@ class TestVariablePartitions:
                  if isinstance(e, StateSave)]
         assert relocated == ([held] if moved else [])
         assert saved == relocated
+        if moved:
+            assert svc.compaction_refusals == 0
+        else:
+            assert svc.compaction_refusals >= 1
         done = [e.task for e in h.log.events if isinstance(e, TaskDone)]
         # Unmoved, the held circuit blocks d6 until t_mid exits.
         assert (done.index("t_big") < done.index("t_mid")) == moved

@@ -11,6 +11,7 @@ from repro.core import (
     make_placement,
     make_replacement,
 )
+from tests.core.reference import ReferenceColumnAllocator
 
 #: The three classic split rules, as placement strategies.
 SPLIT_RULES = ["column-first-fit", "column-best-fit", "column-worst-fit"]
@@ -21,30 +22,41 @@ class TestAllocatorInvariants:
         st.lists(
             st.one_of(
                 st.tuples(st.just("alloc"), st.integers(1, 6),
-                          st.sampled_from(SPLIT_RULES)),
+                          st.sampled_from(SPLIT_RULES + [None])),
                 st.tuples(st.just("free"), st.integers(0, 100)),
                 st.tuples(st.just("merge"), st.just(0)),
             ),
             max_size=120,
         ),
         st.booleans(),
+        st.sampled_from(SPLIT_RULES),
     )
     @settings(max_examples=80)
-    def test_conservation_and_disjointness(self, ops, coalesce):
+    def test_conservation_and_disjointness(self, ops, coalesce, rule):
+        """... and after every step the allocator is where the
+        reference search path, which asks the strategy on every request
+        and sweeps on every merge, leaves it."""
         width = 24
-        alloc = ColumnAllocator(width, coalesce=coalesce)
+        alloc = ColumnAllocator(width, coalesce=coalesce, placement=rule)
+        ref = ReferenceColumnAllocator(width, coalesce=coalesce,
+                                       placement=rule)
         held = []
         for op in ops:
             if op[0] == "alloc":
-                anchor = alloc.allocate(op[1], 1,
-                                        placement=make_placement(op[2]))
+                placement = None if op[2] is None else make_placement(op[2])
+                anchor = alloc.allocate(op[1], 1, placement=placement)
+                assert anchor == ref.allocate(op[1], 1, placement=placement)
                 if anchor is not None:
                     held.append((anchor[0], op[1]))
             elif op[0] == "free" and held:
                 x, w = held.pop(op[1] % len(held))
                 alloc.release((x, 0), w, 1)
+                ref.release((x, 0), w, 1)
             elif op[0] == "merge":
-                alloc.merge_free()
+                assert alloc.merge_free() == ref.merge_free()
+            assert alloc.free_spans == ref.free_spans
+            assert alloc.last_proposal == ref.last_proposal
+            assert alloc.fragmentation == ref.fragmentation
             # Invariant 1: columns are conserved.
             assert alloc.total_free + sum(w for _x, w in held) == width
             # Invariant 2: all spans (free + held) are pairwise disjoint.
